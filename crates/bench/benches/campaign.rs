@@ -1,6 +1,5 @@
 //! Campaign-engine throughput: scalar per-point `inject` vs. the batched
-//! lane-parallel engines at every lane width (64-lane words, 256- and
-//! 512-lane SoA blocks), in faults per second — for both the full-settle
+//! 64-lane engines, in faults per second — for both the full-settle
 //! reference engine and the event-driven differential engine, each with
 //! fault-space collapsing off and on.
 //!
@@ -20,7 +19,7 @@ use criterion::{is_quick_test, Criterion, Throughput};
 
 use mate_hafi::{
     run_campaign, run_campaign_wide, CampaignConfig, CampaignEngine, CampaignPruning,
-    DesignHarness, FaultSpace, LaneWidth, PruningStats, StimulusHarness,
+    DesignHarness, FaultSpace, PruningStats, StimulusHarness,
 };
 use mate_netlist::examples::{figure1b, tmr_bank};
 use mate_netlist::random::{random_circuit, RandomCircuitConfig};
@@ -44,10 +43,9 @@ fn drive_all_inputs(mut harness: StimulusHarness, seed: u64, cycles: usize) -> S
     harness
 }
 
-/// One measured `(engine, lane_width, pruning)` configuration.
+/// One measured `(engine, pruning)` configuration.
 struct Row {
     engine: CampaignEngine,
-    lanes: usize,
     pruning: CampaignPruning,
     fps: f64,
     stats: PruningStats,
@@ -65,27 +63,18 @@ struct Measured {
 }
 
 impl Measured {
-    /// The uncollapsed full-settle faults/second at `lane_width`, the
-    /// reference the differential rows are compared against.
-    fn full_settle_fps(&self, lane_width: usize) -> Option<f64> {
-        self.rows
-            .iter()
-            .find(|r| {
-                r.engine == CampaignEngine::FullSettle
-                    && r.lanes == lane_width
-                    && r.pruning == CampaignPruning::Off
-            })
-            .map(|r| r.fps)
+    /// The uncollapsed full-settle faults/second, the reference the
+    /// differential rows are compared against.
+    fn full_settle_fps(&self) -> Option<f64> {
+        self.unpruned_fps(CampaignEngine::FullSettle)
     }
 
-    /// The same engine and width with collapsing off — the reference a
-    /// collapsed row's `speedup_vs_unpruned` is computed against.
-    fn unpruned_fps(&self, engine: CampaignEngine, lane_width: usize) -> Option<f64> {
+    /// The same engine with collapsing off — the reference a collapsed
+    /// row's `speedup_vs_unpruned` is computed against.
+    fn unpruned_fps(&self, engine: CampaignEngine) -> Option<f64> {
         self.rows
             .iter()
-            .find(|r| {
-                r.engine == engine && r.lanes == lane_width && r.pruning == CampaignPruning::Off
-            })
+            .find(|r| r.engine == engine && r.pruning == CampaignPruning::Off)
             .map(|r| r.fps)
     }
 }
@@ -109,29 +98,26 @@ fn measure(
 ) -> Measured {
     let space = FaultSpace::all_ffs(harness.netlist(), harness.topology(), config.cycles);
 
-    // Sanity: every engine, lane width, and pruning mode must produce
-    // identical records before we compare their speed.  In quick mode
-    // (CI bench-smoke) this loop IS the test.
+    // Sanity: every engine and pruning mode must produce identical records
+    // before we compare their speed.  In quick mode (CI bench-smoke) this
+    // loop IS the test.
     let scalar = run_campaign(harness, &space, config).unwrap();
     for engine in CampaignEngine::all() {
-        for lanes in LaneWidth::all() {
-            for pruning in CampaignPruning::all() {
-                let wide = run_campaign_wide(
-                    harness,
-                    &space,
-                    &CampaignConfig {
-                        engine,
-                        lanes,
-                        pruning,
-                        ..*config
-                    },
-                )
-                .unwrap();
-                assert_eq!(
-                    scalar.records, wide.records,
-                    "{engine} {lanes}-lane {pruning} engine diverges on {name}"
-                );
-            }
+        for pruning in CampaignPruning::all() {
+            let wide = run_campaign_wide(
+                harness,
+                &space,
+                &CampaignConfig {
+                    engine,
+                    pruning,
+                    ..*config
+                },
+            )
+            .unwrap();
+            assert_eq!(
+                scalar.records, wide.records,
+                "{engine} {pruning} engine diverges on {name}"
+            );
         }
     }
     let points = scalar.len();
@@ -143,18 +129,15 @@ fn measure(
         b.iter(|| run_campaign(harness, &space, config).unwrap())
     });
     for engine in CampaignEngine::all() {
-        for lanes in LaneWidth::all() {
-            for pruning in CampaignPruning::all() {
-                let cfg = CampaignConfig {
-                    engine,
-                    lanes,
-                    pruning,
-                    ..*config
-                };
-                group.bench_function(&format!("{engine}/wide{lanes}/{pruning}"), |b| {
-                    b.iter(|| run_campaign_wide(harness, &space, &cfg).unwrap())
-                });
-            }
+        for pruning in CampaignPruning::all() {
+            let cfg = CampaignConfig {
+                engine,
+                pruning,
+                ..*config
+            };
+            group.bench_function(&format!("{engine}/{pruning}"), |b| {
+                b.iter(|| run_campaign_wide(harness, &space, &cfg).unwrap())
+            });
         }
     }
     group.finish();
@@ -165,26 +148,22 @@ fn measure(
     });
     let mut rows = Vec::new();
     for engine in CampaignEngine::all() {
-        for lanes in LaneWidth::all() {
-            for pruning in CampaignPruning::all() {
-                let cfg = CampaignConfig {
-                    engine,
-                    lanes,
-                    pruning,
-                    ..*config
-                };
-                let mut stats = PruningStats::default();
-                let fps = faults_per_sec(reps, points, || {
-                    stats = run_campaign_wide(harness, &space, &cfg).unwrap().pruning;
-                });
-                rows.push(Row {
-                    engine,
-                    lanes: lanes.lanes(),
-                    pruning,
-                    fps,
-                    stats,
-                });
-            }
+        for pruning in CampaignPruning::all() {
+            let cfg = CampaignConfig {
+                engine,
+                pruning,
+                ..*config
+            };
+            let mut stats = PruningStats::default();
+            let fps = faults_per_sec(reps, points, || {
+                stats = run_campaign_wide(harness, &space, &cfg).unwrap().pruning;
+            });
+            rows.push(Row {
+                engine,
+                pruning,
+                fps,
+                stats,
+            });
         }
     }
     Measured {
@@ -209,17 +188,13 @@ fn write_json(results: &[Measured]) {
             .rows
             .iter()
             .map(|r| {
-                let vs_full = m
-                    .full_settle_fps(r.lanes)
-                    .map_or(String::new(), |reference| {
-                        format!(", \"speedup_vs_full_settle\": {:.2}", r.fps / reference)
-                    });
+                let vs_full = m.full_settle_fps().map_or(String::new(), |reference| {
+                    format!(", \"speedup_vs_full_settle\": {:.2}", r.fps / reference)
+                });
                 let collapse = if r.pruning == CampaignPruning::Collapse {
-                    let vs_unpruned = m
-                        .unpruned_fps(r.engine, r.lanes)
-                        .map_or(String::new(), |reference| {
-                            format!("\"speedup_vs_unpruned\": {:.2}, ", r.fps / reference)
-                        });
+                    let vs_unpruned = m.unpruned_fps(r.engine).map_or(String::new(), |reference| {
+                        format!("\"speedup_vs_unpruned\": {:.2}, ", r.fps / reference)
+                    });
                     format!(
                         ", {vs_unpruned}\"skip_rate\": {:.3}, \"classes\": {}, \
                          \"probes\": {}, \"fallback\": {}, \"memo_hits\": {}",
@@ -233,10 +208,9 @@ fn write_json(results: &[Measured]) {
                     String::new()
                 };
                 format!(
-                    "{{\"engine\": \"{}\", \"lane_width\": {}, \"pruning\": \"{}\", \
+                    "{{\"engine\": \"{}\", \"pruning\": \"{}\", \
                      \"faults_per_sec\": {:.1}, \"speedup_vs_scalar\": {:.2}{vs_full}{collapse}}}",
                     r.engine,
-                    r.lanes,
                     r.pruning,
                     r.fps,
                     r.fps / m.scalar_fps
@@ -404,11 +378,11 @@ fn main() {
             m.name, m.scalar_fps, m.auto_engine
         );
         for r in &m.rows {
-            let vs_full = m.full_settle_fps(r.lanes).map_or(String::new(), |x| {
+            let vs_full = m.full_settle_fps().map_or(String::new(), |x| {
                 format!(", {:.1}x vs full-settle", r.fps / x)
             });
             let collapse = if r.pruning == CampaignPruning::Collapse {
-                let vs_unpruned = m.unpruned_fps(r.engine, r.lanes).map_or(0.0, |x| r.fps / x);
+                let vs_unpruned = m.unpruned_fps(r.engine).map_or(0.0, |x| r.fps / x);
                 format!(
                     ", {vs_unpruned:.1}x vs unpruned, {:.0}% skipped",
                     r.stats.skip_rate() * 100.0
@@ -417,9 +391,8 @@ fn main() {
                 String::new()
             };
             eprintln!(
-                "  {} {} lanes {}: {:.0}/s ({:.1}x vs scalar{vs_full}{collapse})",
+                "  {} {}: {:.0}/s ({:.1}x vs scalar{vs_full}{collapse})",
                 r.engine,
-                r.lanes,
                 r.pruning,
                 r.fps,
                 r.fps / m.scalar_fps

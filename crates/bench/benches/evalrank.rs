@@ -1,7 +1,6 @@
 //! Trace-analysis throughput: scalar per-cycle MATE evaluation vs. the
-//! lane-parallel transposed path at every block width (64-lane words, 256-
-//! and 512-lane blocks), eager greedy ranking vs. lazy-greedy (CELF) at the
-//! same widths, and 1-thread vs. N-thread wide campaigns.
+//! word-parallel transposed path, eager greedy ranking vs. lazy-greedy
+//! (CELF), and 1-thread vs. N-thread wide campaigns.
 //!
 //! Besides the criterion reporting, the bench emits a machine-readable
 //! `BENCH_evalrank.json` at the workspace root.  Every fast path is
@@ -13,15 +12,15 @@ use std::time::Instant;
 
 use criterion::{is_quick_test, Criterion, Throughput};
 
-use mate::eval::{evaluate_scalar, evaluate_transposed_blocks};
+use mate::eval::{evaluate_scalar, evaluate_transposed};
 use mate::mates::{summarize, Mate, MateSet};
-use mate::select::{rank_eager, rank_transposed_blocks};
+use mate::select::{rank_eager, rank_transposed};
 use mate_hafi::{
     run_campaign_wide, CampaignConfig, CampaignEngine, CampaignPruning, DesignHarness, FaultSpace,
-    LaneWidth, StimulusHarness,
+    StimulusHarness,
 };
 use mate_netlist::random::{random_circuit, RandomCircuitConfig};
-use mate_netlist::{LaneBlock, NetCube, NetId, B256, B512};
+use mate_netlist::{NetCube, NetId};
 use mate_pipeline::ENGINE_LAYOUT_VERSION;
 use mate_sim::{TransposedTrace, WaveTrace};
 
@@ -85,16 +84,14 @@ struct EvalMeasured {
     cycles: usize,
     points: usize,
     scalar_pps: f64,
-    /// Fault-points/second of the block engine per lane width.
-    width_pps: Vec<(usize, f64)>,
+    word_pps: f64,
 }
 
 struct RankMeasured {
     mates: usize,
     points: usize,
     eager_ms: f64,
-    /// Lazy-greedy (CELF) milliseconds per coverage lane width.
-    lazy_ms: Vec<(usize, f64)>,
+    lazy_ms: f64,
 }
 
 struct CampaignMeasured {
@@ -102,50 +99,8 @@ struct CampaignMeasured {
     points: usize,
     cycles: usize,
     threads: usize,
-    lane_width: usize,
     one_thread_fps: f64,
     n_thread_fps: f64,
-}
-
-/// Times one evaluate and one rank engine at lane width `B::WIDTH`,
-/// asserting both bit-identical to the scalar/eager references first.
-fn time_width<B: LaneBlock>(
-    reps: usize,
-    transposed: &TransposedTrace,
-    mates: &MateSet,
-    wires: &[NetId],
-    scalar: &mate::EvalReport,
-    eager: &mate::Ranking,
-) -> ((usize, f64), (usize, f64)) {
-    let wide = evaluate_transposed_blocks::<B>(mates, transposed, wires);
-    assert_eq!(
-        wide.matrix,
-        scalar.matrix,
-        "{}-lane evaluate diverges",
-        B::WIDTH
-    );
-    assert_eq!(
-        wide.triggers,
-        scalar.triggers,
-        "{}-lane triggers diverge",
-        B::WIDTH
-    );
-    assert_eq!(
-        &rank_transposed_blocks::<B>(mates, transposed, wires),
-        eager,
-        "{}-lane rank diverges",
-        B::WIDTH
-    );
-    let eval_s = best_secs(reps, || {
-        evaluate_transposed_blocks::<B>(mates, transposed, wires);
-    });
-    let rank_s = best_secs(reps, || {
-        rank_transposed_blocks::<B>(mates, transposed, wires);
-    });
-    (
-        (B::WIDTH, scalar.matrix.total_points() as f64 / eval_s),
-        (B::WIDTH, rank_s * 1e3),
-    )
 }
 
 fn measure_eval_and_rank(
@@ -155,12 +110,26 @@ fn measure_eval_and_rank(
     mates: &MateSet,
     wires: &[NetId],
 ) -> (EvalMeasured, RankMeasured) {
-    // The transposition is shared across engines and widths, exactly like
+    // The transposition is shared across evaluate and rank, exactly like
     // the production `evaluate`/`rank` entry points do internally.
     let transposed = TransposedTrace::from_trace(trace);
     let scalar = evaluate_scalar(mates, trace, wires);
     let eager = rank_eager(mates, trace, wires);
     let points = scalar.matrix.total_points();
+    let word = evaluate_transposed(mates, &transposed, wires);
+    assert_eq!(
+        word.matrix, scalar.matrix,
+        "word-parallel evaluate diverges"
+    );
+    assert_eq!(
+        word.triggers, scalar.triggers,
+        "word-parallel triggers diverge"
+    );
+    assert_eq!(
+        rank_transposed(mates, &transposed, wires),
+        eager,
+        "lazy rank diverges"
+    );
 
     let mut group = c.benchmark_group(&format!("evaluate{suffix}"));
     group.sample_size(10);
@@ -169,13 +138,7 @@ fn measure_eval_and_rank(
         b.iter(|| evaluate_scalar(mates, trace, wires))
     });
     group.bench_function("word_parallel", |b| {
-        b.iter(|| evaluate_transposed_blocks::<u64>(mates, &transposed, wires))
-    });
-    group.bench_function("block256", |b| {
-        b.iter(|| evaluate_transposed_blocks::<B256>(mates, &transposed, wires))
-    });
-    group.bench_function("block512", |b| {
-        b.iter(|| evaluate_transposed_blocks::<B512>(mates, &transposed, wires))
+        b.iter(|| evaluate_transposed(mates, &transposed, wires))
     });
     group.finish();
 
@@ -183,13 +146,7 @@ fn measure_eval_and_rank(
     group.sample_size(10);
     group.bench_function("eager", |b| b.iter(|| rank_eager(mates, trace, wires)));
     group.bench_function("lazy_celf", |b| {
-        b.iter(|| rank_transposed_blocks::<u64>(mates, &transposed, wires))
-    });
-    group.bench_function("lazy_celf256", |b| {
-        b.iter(|| rank_transposed_blocks::<B256>(mates, &transposed, wires))
-    });
-    group.bench_function("lazy_celf512", |b| {
-        b.iter(|| rank_transposed_blocks::<B512>(mates, &transposed, wires))
+        b.iter(|| rank_transposed(mates, &transposed, wires))
     });
     group.finish();
 
@@ -200,11 +157,12 @@ fn measure_eval_and_rank(
     let eager_s = best_secs(reps, || {
         rank_eager(mates, trace, wires);
     });
-    let widths = [
-        time_width::<u64>(reps, &transposed, mates, wires, &scalar, &eager),
-        time_width::<B256>(reps, &transposed, mates, wires, &scalar, &eager),
-        time_width::<B512>(reps, &transposed, mates, wires, &scalar, &eager),
-    ];
+    let word_s = best_secs(reps, || {
+        evaluate_transposed(mates, &transposed, wires);
+    });
+    let lazy_s = best_secs(reps, || {
+        rank_transposed(mates, &transposed, wires);
+    });
 
     (
         EvalMeasured {
@@ -213,13 +171,13 @@ fn measure_eval_and_rank(
             cycles: trace.num_cycles(),
             points,
             scalar_pps: points as f64 / scalar_s,
-            width_pps: widths.iter().map(|&(e, _)| e).collect(),
+            word_pps: points as f64 / word_s,
         },
         RankMeasured {
             mates: mates.len(),
             points,
             eager_ms: eager_s * 1e3,
-            lazy_ms: widths.iter().map(|&(_, r)| r).collect(),
+            lazy_ms: lazy_s * 1e3,
         },
     )
 }
@@ -239,7 +197,6 @@ fn measure_campaign(
         sample,
         seed: 9,
         threads: 1,
-        lanes: LaneWidth::default(),
         engine: CampaignEngine::default(),
         pruning: CampaignPruning::default(),
     };
@@ -273,23 +230,9 @@ fn measure_campaign(
         points,
         cycles,
         threads,
-        lane_width: one.lanes.lanes(),
         one_thread_fps: points as f64 / one_s,
         n_thread_fps: points as f64 / many_s,
     }
-}
-
-fn lane_json(rows: &[(usize, f64)], value_key: &str, base: f64, better_is_higher: bool) -> String {
-    let entries: Vec<String> = rows
-        .iter()
-        .map(|&(lanes, v)| {
-            let speedup = if better_is_higher { v / base } else { base / v };
-            format!(
-                "{{\"lane_width\": {lanes}, \"{value_key}\": {v:.3}, \"speedup\": {speedup:.2}}}"
-            )
-        })
-        .collect();
-    entries.join(", ")
 }
 
 /// The evaluate/rank/campaign row triple of one circuit — the same schema
@@ -297,34 +240,31 @@ fn lane_json(rows: &[(usize, f64)], value_key: &str, base: f64, better_is_higher
 fn section_json(eval: &EvalMeasured, rank: &RankMeasured, campaign: &CampaignMeasured) -> String {
     format!(
         "\"evaluate\": {{\"mates\": {}, \"wires\": {}, \"cycles\": {}, \"points\": {}, \
-         \"scalar_fault_points_per_sec\": {:.1}, \"blocks\": [{}]}},\n  \
-         \"rank\": {{\"mates\": {}, \"points\": {}, \"eager_ms\": {:.3}, \"lazy\": [{}]}},\n  \
+         \"scalar_fault_points_per_sec\": {:.1}, \"word_parallel_fault_points_per_sec\": {:.1}, \
+         \"speedup\": {:.2}}},\n  \
+         \"rank\": {{\"mates\": {}, \"points\": {}, \"eager_ms\": {:.3}, \"lazy_ms\": {:.3}, \
+         \"speedup\": {:.2}}},\n  \
          \"campaign\": {{\"ffs\": {}, \"points\": {}, \"cycles\": {}, \"threads\": {}, \
-         \"lane_width\": {}, \
          \"one_thread_faults_per_sec\": {:.1}, \"n_thread_faults_per_sec\": {:.1}, \
          \"speedup\": {:.2}, \
          \"note\": \"thread-scaling speedup is bounded by host_cpus; records are \
-         bit-identical for every thread count and lane width\"}}",
+         bit-identical for every thread count\"}}",
         eval.mates,
         eval.wires,
         eval.cycles,
         eval.points,
         eval.scalar_pps,
-        lane_json(
-            &eval.width_pps,
-            "fault_points_per_sec",
-            eval.scalar_pps,
-            true
-        ),
+        eval.word_pps,
+        eval.word_pps / eval.scalar_pps,
         rank.mates,
         rank.points,
         rank.eager_ms,
-        lane_json(&rank.lazy_ms, "ms", rank.eager_ms, false),
+        rank.lazy_ms,
+        rank.eager_ms / rank.lazy_ms,
         campaign.ffs,
         campaign.points,
         campaign.cycles,
         campaign.threads,
-        campaign.lane_width,
         campaign.one_thread_fps,
         campaign.n_thread_fps,
         campaign.n_thread_fps / campaign.one_thread_fps,
@@ -408,34 +348,25 @@ fn main() {
     let host_cpus = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1);
-    let widths: Vec<String> = eval_m
-        .width_pps
-        .iter()
-        .map(|&(lanes, pps)| format!("{lanes} lanes {pps:.0}/s ({:.1}x)", pps / eval_m.scalar_pps))
-        .collect();
     eprintln!(
-        "evaluate: scalar {:.0} points/s, {}",
+        "evaluate: scalar {:.0} points/s, word-parallel {:.0} points/s ({:.1}x)",
         eval_m.scalar_pps,
-        widths.join(", ")
+        eval_m.word_pps,
+        eval_m.word_pps / eval_m.scalar_pps
     );
-    let ranks: Vec<String> = rank_m
-        .lazy_ms
-        .iter()
-        .map(|&(lanes, ms)| format!("{lanes} lanes {ms:.1} ms ({:.1}x)", rank_m.eager_ms / ms))
-        .collect();
     eprintln!(
-        "rank: eager {:.1} ms, {}",
+        "rank: eager {:.1} ms, lazy {:.2} ms ({:.1}x)",
         rank_m.eager_ms,
-        ranks.join(", ")
+        rank_m.lazy_ms,
+        rank_m.eager_ms / rank_m.lazy_ms
     );
     eprintln!(
-        "campaign: 1 thread {:.0} faults/s, {} threads {:.0} faults/s, speedup {:.1}x ({} cpus, {} lanes)",
+        "campaign: 1 thread {:.0} faults/s, {} threads {:.0} faults/s, speedup {:.1}x ({} cpus)",
         campaign_m.one_thread_fps,
         campaign_m.threads,
         campaign_m.n_thread_fps,
         campaign_m.n_thread_fps / campaign_m.one_thread_fps,
-        host_cpus,
-        campaign_m.lane_width
+        host_cpus
     );
     eprintln!(
         "uart_tx: evaluate scalar {:.0} points/s, campaign 1 thread {:.0} faults/s, \

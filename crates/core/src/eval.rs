@@ -2,18 +2,15 @@
 //!
 //! Evaluation is lane-parallel on the cycle axis: the trace is transposed
 //! into per-net bit-planes ([`TransposedTrace`]) once, and every MATE cube
-//! then evaluates over a whole lane block of cycles with one AND/ANDN per
-//! literal ([`TransposedTrace::cube_block`]).  [`evaluate`] runs 256 cycles
-//! per probe ([`B256`]); [`evaluate_transposed_blocks`] generalizes to any
-//! [`LaneBlock`] width, with the 64-lane word path kept as
-//! [`evaluate_transposed`] for the bench baseline.  The per-cycle scalar
-//! path is kept as [`evaluate_scalar`], the bit-identical reference the
-//! equivalence tests and benches compare against.
+//! then evaluates over 64 cycles with one AND/ANDN per literal
+//! ([`TransposedTrace::cube_word`]).  The per-cycle scalar path is kept as
+//! [`evaluate_scalar`], the bit-identical reference the equivalence tests
+//! and benches compare against.
 
 use std::collections::HashMap;
 use std::fmt;
 
-use mate_netlist::{LaneBlock, NetId, B256, WORD_LANES};
+use mate_netlist::{NetId, WORD_LANES};
 use mate_sim::{TransposedTrace, WaveTrace};
 
 use crate::mates::{Mate, MateSet};
@@ -78,7 +75,7 @@ impl PruneMatrix {
 
     /// ORs a 64-cycle trigger word into a wire's row: bit `c` of `mask`
     /// marks cycle `64 * word + c` as benign.  This is the word-parallel
-    /// marking path of [`evaluate`].
+    /// marking path of [`evaluate_transposed`].
     ///
     /// # Panics
     ///
@@ -97,33 +94,6 @@ impl PruneMatrix {
             );
         }
         self.words[wire_idx * self.words_per_wire + word] |= mask;
-    }
-
-    /// ORs a whole lane block of trigger cycles into a wire's row: lane `c`
-    /// of `mask` marks cycle `B::WIDTH * block + c` as benign.  This is the
-    /// block-parallel marking path of [`evaluate_transposed_blocks`];
-    /// `mark_cycle_block::<u64>` is exactly [`PruneMatrix::mark_cycle_word`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when the index is out of range, the block starts beyond the
-    /// matrix, or `mask` has bits at cycles beyond the matrix (which would
-    /// corrupt the popcount-based [`PruneMatrix::masked_points`]).
-    pub fn mark_cycle_block<B: LaneBlock>(&mut self, wire_idx: usize, block: usize, mask: B) {
-        let base = block * B::WORDS;
-        assert!(wire_idx < self.wires.len() && base < self.words_per_wire);
-        for w in 0..B::WORDS {
-            let m = mask.word(w);
-            if base + w < self.words_per_wire {
-                if m != 0 {
-                    self.mark_cycle_word(wire_idx, base + w, m);
-                }
-            } else {
-                // Words past the matrix tail: a block straddling the horizon
-                // may only trigger on in-range cycles.
-                assert_eq!(m, 0, "mask has bits beyond cycle {}", self.cycles);
-            }
-        }
     }
 
     /// One wire's packed benign-cycle row (bit `c % 64` of word `c / 64` is
@@ -280,29 +250,17 @@ fn finish_report(mates: &MateSet, matrix: PruneMatrix, triggers: Vec<usize>) -> 
 /// border wires are outside the fault cone, so their recorded values are
 /// valid even in the presence of the hypothetical fault.
 ///
-/// The trace is transposed once and each cube then evaluates 256 cycles per
-/// step ([`B256`] lane blocks); [`evaluate_scalar`] is the bit-identical
-/// per-cycle reference and [`evaluate_transposed`] the 64-lane word path.
+/// The trace is transposed once and each cube then evaluates 64 cycles per
+/// step; [`evaluate_scalar`] is the bit-identical per-cycle reference.
 pub fn evaluate(mates: &MateSet, trace: &WaveTrace, wires: &[NetId]) -> EvalReport {
-    evaluate_transposed_blocks::<B256>(mates, &TransposedTrace::from_trace(trace), wires)
+    evaluate_transposed(mates, &TransposedTrace::from_trace(trace), wires)
 }
 
-/// Word-parallel (64-lane) evaluation over an already-transposed trace —
-/// the historical engine, kept as the baseline `BENCH_evalrank.json`
-/// compares the wide blocks against.
-pub fn evaluate_transposed(
-    mates: &MateSet,
-    trace: &TransposedTrace,
-    wires: &[NetId],
-) -> EvalReport {
-    evaluate_transposed_blocks::<u64>(mates, trace, wires)
-}
-
-/// Block-parallel evaluation over an already-transposed trace (use this when
+/// Word-parallel evaluation over an already-transposed trace (use this when
 /// the caller also ranks, to share the transposition): each MATE cube
-/// evaluates `B::WIDTH` cycles with one AND/ANDN per literal per block.
-/// Bit-identical to [`evaluate_scalar`] for every lane width.
-pub fn evaluate_transposed_blocks<B: LaneBlock>(
+/// evaluates 64 cycles with one AND/ANDN per literal per word.
+/// Bit-identical to [`evaluate_scalar`].
+pub fn evaluate_transposed(
     mates: &MateSet,
     trace: &TransposedTrace,
     wires: &[NetId],
@@ -312,14 +270,14 @@ pub fn evaluate_transposed_blocks<B: LaneBlock>(
     let relevant = relevant_mates(mates, &matrix);
 
     for (i, mate, indices) in &relevant {
-        for block in 0..trace.num_blocks::<B>() {
-            let hit = trace.cube_block::<B>(&mate.cube, block);
-            if hit.is_zero() {
+        for word in 0..trace.num_words() {
+            let hit = trace.cube_word(&mate.cube, word);
+            if hit == 0 {
                 continue;
             }
             triggers[*i] += hit.count_ones() as usize;
             for &w in indices {
-                matrix.mark_cycle_block(w, block, hit);
+                matrix.mark_cycle_word(w, word, hit);
             }
         }
     }
@@ -408,71 +366,19 @@ mod tests {
 
     #[test]
     fn scalar_and_word_parallel_agree_on_figure1b() {
-        for (stimulus, cycles) in [(vec![false], 6), (vec![true, false, true], 70)] {
-            let (_, mates, trace, wires) = figure1b_setup(stimulus, cycles);
-            let word = evaluate(&mates, &trace, &wires);
-            let scalar = evaluate_scalar(&mates, &trace, &wires);
-            assert_eq!(word.matrix, scalar.matrix);
-            assert_eq!(word.triggers, scalar.triggers);
-            assert_eq!(word.effective, scalar.effective);
-        }
-    }
-
-    #[test]
-    fn block_widths_agree_with_scalar_on_figure1b() {
-        use mate_netlist::{B256, B512};
-        // Horizons straddling every block boundary: word, 256 and 512 lanes.
+        // Horizons inside, at and across the 64-cycle word boundaries.
         for (stimulus, cycles) in [
             (vec![false], 6),
             (vec![true, false, true], 70),
             (vec![true, true, false], 257),
-            (vec![false, true], 520),
         ] {
             let (_, mates, trace, wires) = figure1b_setup(stimulus, cycles);
+            let word = evaluate(&mates, &trace, &wires);
             let scalar = evaluate_scalar(&mates, &trace, &wires);
-            let transposed = TransposedTrace::from_trace(&trace);
-            let word = evaluate_transposed(&mates, &transposed, &wires);
-            let b256 = evaluate_transposed_blocks::<B256>(&mates, &transposed, &wires);
-            let b512 = evaluate_transposed_blocks::<B512>(&mates, &transposed, &wires);
-            for report in [&word, &b256, &b512] {
-                assert_eq!(report.matrix, scalar.matrix, "{cycles} cycles");
-                assert_eq!(report.triggers, scalar.triggers, "{cycles} cycles");
-                assert_eq!(report.effective, scalar.effective, "{cycles} cycles");
-            }
+            assert_eq!(word.matrix, scalar.matrix, "{cycles} cycles");
+            assert_eq!(word.triggers, scalar.triggers, "{cycles} cycles");
+            assert_eq!(word.effective, scalar.effective, "{cycles} cycles");
         }
-    }
-
-    #[test]
-    fn mark_cycle_block_matches_word_marks() {
-        use mate_netlist::{LaneBlock, B256};
-        let wires: Vec<NetId> = (0..2).map(NetId::from_index).collect();
-        let mut by_block = PruneMatrix::new(&wires, 300);
-        let mut by_word = PruneMatrix::new(&wires, 300);
-        let mut mask = B256::ZERO;
-        mask.set_word(0, 0b1001);
-        mask.set_word(3, 1 << 17);
-        by_block.mark_cycle_block(1, 0, mask);
-        by_word.mark_cycle_word(1, 0, 0b1001);
-        by_word.mark_cycle_word(1, 3, 1 << 17);
-        assert_eq!(by_block, by_word);
-        // Second block covers cycles 256..300: words past the tail must be 0.
-        let mut tail = B256::ZERO;
-        tail.set_word(0, 1 << 43); // cycle 299
-        by_block.mark_cycle_block(0, 1, tail);
-        assert!(by_block.is_masked(wires[0], 299));
-        assert_eq!(by_block.masked_points(), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "bits beyond cycle")]
-    fn mark_cycle_block_rejects_tail_bits() {
-        use mate_netlist::{LaneBlock, B256};
-        let wires = [NetId::from_index(0)];
-        let mut m = PruneMatrix::new(&wires, 300);
-        // Cycle 320 lives in block 1's word 1 — past the 300-cycle horizon.
-        let mut mask = B256::ZERO;
-        mask.set_word(1, 1);
-        m.mark_cycle_block(0, 1, mask);
     }
 
     #[test]

@@ -51,10 +51,7 @@ pub mod propagate;
 pub mod search;
 pub mod select;
 
-pub use eval::{
-    evaluate, evaluate_scalar, evaluate_transposed, evaluate_transposed_blocks, EvalReport,
-    PruneMatrix,
-};
+pub use eval::{evaluate, evaluate_scalar, evaluate_transposed, EvalReport, PruneMatrix};
 pub use gmt::GmtCache;
 pub use io::{read_mates, write_mates};
 pub use mate_netlist::MateError;
@@ -67,9 +64,7 @@ pub use search::{
     search_wire_scratch, PropagationMode, PropagationOutcome, SearchConfig, SearchStats,
     SearchStrategy, WireSearchResult,
 };
-pub use select::{
-    rank, rank_eager, rank_transposed, rank_transposed_blocks, select_top_n, Ranking,
-};
+pub use select::{rank, rank_eager, rank_transposed, select_top_n, Ranking};
 
 /// Convenience re-exports.
 pub mod prelude {

@@ -8,19 +8,17 @@
 //! pick order form the subset synthesized into the HAFI platform.
 //!
 //! The production path ([`rank`]) runs lazy-greedy (CELF): coverage lives in
-//! packed lane blocks of cycles (popcount gains, AND-NOT marginals — 256
-//! cycles per block via [`B256`], any [`LaneBlock`] width via
-//! [`rank_transposed_blocks`]) and a max-heap keeps *stale* gains,
-//! re-evaluating only the top candidate — marginal gains never grow as the
-//! covered set grows (submodularity), so a stale bound that still tops the
-//! heap after refresh is exact.  This removes the O(|MATEs|² · points)
+//! packed 64-cycle words (popcount gains, AND-NOT marginals) and a max-heap
+//! keeps *stale* gains, re-evaluating only the top candidate — marginal
+//! gains never grow as the covered set grows (submodularity), so a stale
+//! bound that still tops the heap after refresh is exact.  This removes the O(|MATEs|² · points)
 //! rescan of eager greedy while staying bit-identical to the eager scalar
 //! reference ([`rank_eager`]).
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
-use mate_netlist::{LaneBlock, NetId, B256};
+use mate_netlist::NetId;
 use mate_sim::{TransposedTrace, WaveTrace};
 
 use crate::mates::MateSet;
@@ -65,58 +63,46 @@ fn drain_zero_gain(order: &mut Vec<usize>, picked: &[bool]) {
 }
 
 /// Rates every MATE by its marginal fault-space contribution on `trace`
-/// (lazy-greedy over packed coverage blocks, 256 cycles per popcount;
+/// (lazy-greedy over packed coverage words, 64 cycles per popcount;
 /// transposes the trace once).
 pub fn rank(mates: &MateSet, trace: &WaveTrace, wires: &[NetId]) -> Ranking {
-    rank_transposed_blocks::<B256>(mates, &TransposedTrace::from_trace(trace), wires)
+    rank_transposed(mates, &TransposedTrace::from_trace(trace), wires)
 }
 
-/// Lazy-greedy (CELF) ranking over an already-transposed trace with 64-lane
-/// coverage words — the historical engine, kept as the baseline
-/// `BENCH_evalrank.json` compares the wide blocks against.
-pub fn rank_transposed(mates: &MateSet, trace: &TransposedTrace, wires: &[NetId]) -> Ranking {
-    rank_transposed_blocks::<u64>(mates, trace, wires)
-}
-
-/// Lazy-greedy (CELF) ranking over an already-transposed trace, generic in
-/// the coverage lane block.
+/// Lazy-greedy (CELF) ranking over an already-transposed trace.
 ///
 /// A mate's coverage factorizes: it covers `masked wires × trigger cycles`,
-/// so one `B::WIDTH`-cycle trigger block per mate plus one covered-block row
-/// per wire is the whole state.  Marginal gain = Σ over the mate's wires of
-/// `popcount(trigger & !covered[wire])` — a pure popcount sum, so every lane
-/// width picks the identical order.
-pub fn rank_transposed_blocks<B: LaneBlock>(
-    mates: &MateSet,
-    trace: &TransposedTrace,
-    wires: &[NetId],
-) -> Ranking {
+/// so one 64-cycle trigger word per mate and trace word plus one
+/// covered-word row per wire is the whole state.  Marginal gain = Σ over
+/// the mate's wires of `popcount(trigger & !covered[wire])` — a pure
+/// popcount sum.
+pub fn rank_transposed(mates: &MateSet, trace: &TransposedTrace, wires: &[NetId]) -> Ranking {
     let indices = masked_indices(mates, wires);
-    let num_blocks = trace.num_blocks::<B>();
+    let num_words = trace.num_words();
 
     // Trigger bit-planes, only for mates that can cover anything.
-    let triggers: Vec<Option<Vec<B>>> = mates
+    let triggers: Vec<Option<Vec<u64>>> = mates
         .iter()
         .zip(&indices)
         .map(|(m, idx)| {
             if idx.is_empty() {
                 return None;
             }
-            let blocks: Vec<B> = (0..num_blocks)
-                .map(|b| trace.cube_block(&m.cube, b))
+            let words: Vec<u64> = (0..num_words)
+                .map(|w| trace.cube_word(&m.cube, w))
                 .collect();
-            blocks.iter().any(|b| !b.is_zero()).then_some(blocks)
+            words.iter().any(|&w| w != 0).then_some(words)
         })
         .collect();
 
-    let mut covered = vec![B::ZERO; wires.len() * num_blocks];
-    let gain_of = |i: usize, covered: &[B]| -> usize {
+    let mut covered = vec![0u64; wires.len() * num_words];
+    let gain_of = |i: usize, covered: &[u64]| -> usize {
         let trig = triggers[i].as_ref().expect("gain of coverless mate");
         indices[i]
             .iter()
             .map(|&w| {
                 trig.iter()
-                    .zip(&covered[w * num_blocks..(w + 1) * num_blocks])
+                    .zip(&covered[w * num_words..(w + 1) * num_words])
                     .map(|(&t, &c)| (t & !c).count_ones() as usize)
                     .sum::<usize>()
             })
@@ -154,7 +140,7 @@ pub fn rank_transposed_blocks<B: LaneBlock>(
         // Fresh maximum: commit the pick.
         let trig = triggers[i].as_ref().expect("picked coverless mate");
         for &w in &indices[i] {
-            for (c, &t) in covered[w * num_blocks..(w + 1) * num_blocks]
+            for (c, &t) in covered[w * num_words..(w + 1) * num_words]
                 .iter_mut()
                 .zip(trig)
             {
@@ -325,10 +311,9 @@ mod tests {
     }
 
     #[test]
-    fn all_lane_widths_pick_identical_rankings() {
-        use mate_netlist::{B256, B512};
+    fn lazy_and_eager_agree_across_word_boundary() {
         // Overlapping coverage over a horizon straddling the 64-cycle word
-        // boundary, so multi-word (and partial-block) popcounts matter.
+        // boundary, so multi-word (and partial-word) popcounts matter.
         let mates = summarize([
             Mate {
                 cube: NetCube::literal(net(0), true),
@@ -351,14 +336,6 @@ mod tests {
         let transposed = TransposedTrace::from_trace(&trace);
         let eager = rank_eager(&mates, &trace, &wires);
         assert_eq!(rank_transposed(&mates, &transposed, &wires), eager);
-        assert_eq!(
-            rank_transposed_blocks::<B256>(&mates, &transposed, &wires),
-            eager
-        );
-        assert_eq!(
-            rank_transposed_blocks::<B512>(&mates, &transposed, &wires),
-            eager
-        );
     }
 
     #[test]

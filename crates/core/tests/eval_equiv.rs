@@ -1,20 +1,18 @@
 //! The lane-parallel fast paths must be pure performance changes: the
-//! transposed-trace `evaluate` (at every lane-block width), the lazy-greedy
+//! transposed-trace word-parallel `evaluate`, the lazy-greedy
 //! (CELF) `rank`, and the thread-sharded `run_campaign_wide` each have to
 //! be bit-identical to their scalar/eager/single-threaded references on
 //! arbitrary circuits, stimuli, and MATE sets.
 
 use proptest::prelude::*;
 
-use mate::eval::{evaluate, evaluate_scalar, evaluate_transposed_blocks};
+use mate::eval::{evaluate, evaluate_scalar};
 use mate::mates::{summarize, Mate, MateSet};
-use mate::select::{rank, rank_eager, rank_transposed_blocks};
-use mate_hafi::{
-    run_campaign_wide, CampaignConfig, DesignHarness, FaultSpace, LaneWidth, StimulusHarness,
-};
+use mate::select::{rank, rank_eager};
+use mate_hafi::{run_campaign_wide, CampaignConfig, DesignHarness, FaultSpace, StimulusHarness};
 use mate_netlist::random::{random_circuit, RandomCircuitConfig};
-use mate_netlist::{NetCube, NetId, Netlist, Topology, B256, B512};
-use mate_sim::{InputWave, Testbench, TransposedTrace, WaveTrace};
+use mate_netlist::{NetCube, NetId, Netlist, Topology};
+use mate_sim::{InputWave, Testbench, WaveTrace};
 
 /// SplitMix-style deterministic stream: one value per (seed, tag, index).
 fn mix(seed: u64, tag: u64, index: u64) -> u64 {
@@ -94,39 +92,17 @@ proptest! {
         prop_assert_eq!(word.std_inputs, scalar.std_inputs);
     }
 
-    /// Every lane-block width of the evaluate kernel — 64-lane words, 256-
-    /// and 512-lane blocks — produces the scalar reference bit for bit.
-    #[test]
-    fn block_evaluate_matches_scalar_at_every_width(seed in 0u64..10_000, cycles in 1usize..600) {
-        let (trace, mates, wires) = setup(seed, cycles);
-        let scalar = evaluate_scalar(&mates, &trace, &wires);
-        let transposed = TransposedTrace::from_trace(&trace);
-        let word = evaluate_transposed_blocks::<u64>(&mates, &transposed, &wires);
-        let b256 = evaluate_transposed_blocks::<B256>(&mates, &transposed, &wires);
-        let b512 = evaluate_transposed_blocks::<B512>(&mates, &transposed, &wires);
-        for wide in [&word, &b256, &b512] {
-            prop_assert_eq!(&wide.matrix, &scalar.matrix);
-            prop_assert_eq!(&wide.triggers, &scalar.triggers);
-            prop_assert_eq!(wide.effective, scalar.effective);
-        }
-    }
-
     /// Lazy-greedy (CELF) rank == eager greedy rank: same pick order, same
-    /// marginal hit counts — at every coverage lane width.
+    /// marginal hit counts.
     #[test]
     fn lazy_rank_matches_eager(seed in 0u64..10_000, cycles in 1usize..150) {
         let (trace, mates, wires) = setup(seed, cycles);
         let eager = rank_eager(&mates, &trace, &wires);
         prop_assert_eq!(&rank(&mates, &trace, &wires), &eager);
-        let transposed = TransposedTrace::from_trace(&trace);
-        prop_assert_eq!(&rank_transposed_blocks::<u64>(&mates, &transposed, &wires), &eager);
-        prop_assert_eq!(&rank_transposed_blocks::<B256>(&mates, &transposed, &wires), &eager);
-        prop_assert_eq!(&rank_transposed_blocks::<B512>(&mates, &transposed, &wires), &eager);
     }
 
-    /// Thread sharding and the campaign lane width are invisible in the
-    /// records: any `(threads, lanes)` combination gives the 64-lane
-    /// single-threaded campaign, record for record.
+    /// Thread sharding is invisible in the records: any thread count gives
+    /// the single-threaded campaign, record for record.
     #[test]
     fn sharded_campaign_matches_single_thread(seed in 0u64..5_000, threads in 2usize..6) {
         let cfg = RandomCircuitConfig { inputs: 3, ffs: 6, gates: 20, outputs: 2 };
@@ -141,15 +117,9 @@ proptest! {
             harness = harness.drive(input, values);
         }
         let space = FaultSpace::all_ffs(harness.netlist(), harness.topology(), cycles);
-        let base = CampaignConfig { cycles, sample: Some(30), seed, threads: 1, lanes: LaneWidth::W64, ..CampaignConfig::default() };
+        let base = CampaignConfig { cycles, sample: Some(30), seed, threads: 1, ..CampaignConfig::default() };
         let single = run_campaign_wide(&harness, &space, &base).unwrap();
-        for lanes in LaneWidth::all() {
-            let sharded = run_campaign_wide(
-                &harness,
-                &space,
-                &CampaignConfig { threads, lanes, ..base },
-            ).unwrap();
-            prop_assert_eq!(&single.records, &sharded.records, "{} lanes", lanes);
-        }
+        let sharded = run_campaign_wide(&harness, &space, &CampaignConfig { threads, ..base }).unwrap();
+        prop_assert_eq!(&single.records, &sharded.records);
     }
 }

@@ -1,15 +1,16 @@
 //! Injection campaigns and outcome classification.
 //!
 //! Wide-capable workloads are served by two batched, bit-identical engines
-//! selected through [`CampaignEngine`]: the full-settle [`BlockSimulator`]
+//! selected through [`CampaignEngine`]: the full-settle [`WideSimulator`]
 //! reference and the default event-driven [`DeltaSimulator`], whose work
 //! per cycle scales with fault-cone activity instead of netlist size.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
-use mate_netlist::{LaneBlock, MateError, NetId, Netlist, Topology, B256, B512};
-use mate_sim::{BlockSimulator, DeltaSimulator, TransposedTrace, WaveTrace};
+use mate_netlist::lanes::{for_each_lane, low_lanes};
+use mate_netlist::{MateError, NetId, Netlist, Topology, WORD_LANES};
+use mate_sim::{DeltaSimulator, TransposedTrace, WaveTrace, WideSimulator};
 
 use crate::collapse::{CampaignPruning, PruningStats};
 use crate::harness::DesignHarness;
@@ -172,54 +173,14 @@ fn classify(
     }
 }
 
-/// Lane width of the batched campaign engine: how many fault scenarios one
-/// [`BlockSimulator`] pass carries.
-///
-/// Every width produces bit-identical [`FaultEffect`] classifications; the
-/// choice only trades register pressure against scenarios per pass.  The
-/// default is [`LaneWidth::W256`] (four words per net, the AVX2-register
-/// shape).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum LaneWidth {
-    /// 64 scenarios per pass (one `u64` per net) — the baseline engine.
-    W64,
-    /// 256 scenarios per pass (a [`B256`] block per net).
-    #[default]
-    W256,
-    /// 512 scenarios per pass (a [`B512`] block per net).
-    W512,
-}
-
-impl LaneWidth {
-    /// Number of fault scenarios per simulation pass.
-    pub fn lanes(self) -> usize {
-        match self {
-            Self::W64 => 64,
-            Self::W256 => 256,
-            Self::W512 => 512,
-        }
-    }
-
-    /// All supported widths, narrowest first (for equivalence sweeps).
-    pub fn all() -> [Self; 3] {
-        [Self::W64, Self::W256, Self::W512]
-    }
-}
-
-impl fmt::Display for LaneWidth {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.lanes())
-    }
-}
-
 /// Which batched engine classifies wide-capable workloads.
 ///
 /// All choices produce bit-identical [`FaultEffect`] classifications for
-/// every lane width and thread count (enforced by the campaign proptests);
-/// the choice only trades work per cycle.
+/// every thread count (enforced by the campaign proptests); the choice only
+/// trades work per cycle.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum CampaignEngine {
-    /// The full-settle [`BlockSimulator`] engine: every combinational cell
+    /// The full-settle [`WideSimulator`] engine: every combinational cell
     /// re-evaluated every cycle, convergence detected by XOR-scanning the
     /// observed nets.  Kept as the asserted-identical reference.
     FullSettle,
@@ -275,7 +236,7 @@ impl fmt::Display for CampaignEngine {
 }
 
 /// Classifies a batch of fault points against `golden` with the default
-/// lane width — see [`classify_points_with`].
+/// engine — see [`classify_points_engine`].
 ///
 /// # Errors
 ///
@@ -286,33 +247,16 @@ pub fn classify_points(
     golden: &GoldenRun,
     points: &[FaultPoint],
 ) -> Result<Vec<FaultEffect>, MateError> {
-    classify_points_with(harness, golden, points, LaneWidth::default())
-}
-
-/// Classifies a batch of fault points against `golden` with the default
-/// engine — see [`classify_points_engine`].
-///
-/// # Errors
-///
-/// Returns [`MateError::Campaign`] if any injection cycle lies beyond the
-/// golden trace.
-pub fn classify_points_with(
-    harness: &dyn DesignHarness,
-    golden: &GoldenRun,
-    points: &[FaultPoint],
-    lanes: LaneWidth,
-) -> Result<Vec<FaultEffect>, MateError> {
-    classify_points_engine(harness, golden, points, lanes, CampaignEngine::default())
+    classify_points_engine(harness, golden, points, CampaignEngine::default())
 }
 
 /// Classifies a batch of fault points against `golden`, choosing the
 /// fastest sound path the harness supports:
 ///
-/// 1. **Wide** — no external devices and pure stimuli: up to
-///    [`LaneWidth::lanes`] fault points per injection cycle are packed into
-///    the lanes of a batched engine seeded directly from the golden trace
-///    at the injection cycle, then classified in lock-step with per-lane
-///    early retirement.  `engine` picks between the event-driven
+/// 1. **Wide** — no external devices and pure stimuli: up to 64 fault
+///    points per injection cycle are packed into the lanes of a batched
+///    engine seeded directly from the golden trace at the injection cycle,
+///    then classified in lock-step with per-lane early retirement.  `engine` picks between the event-driven
 ///    [`CampaignEngine::Differential`] default and the full-settle
 ///    [`CampaignEngine::FullSettle`] reference.
 /// 2. **Checkpointed scalar** — all devices snapshotable and pure stimuli:
@@ -321,7 +265,7 @@ pub fn classify_points_with(
 ///    warm-up prefix.
 /// 3. **Scalar fallback** — anything else: one [`inject`] per point.
 ///
-/// All paths — every engine and lane width included — produce bit-identical
+/// All paths — every engine included — produce bit-identical
 /// [`FaultEffect`] classifications.  Results are returned in the order of
 /// `points`.
 ///
@@ -333,7 +277,6 @@ pub fn classify_points_engine(
     harness: &dyn DesignHarness,
     golden: &GoldenRun,
     points: &[FaultPoint],
-    lanes: LaneWidth,
     engine: CampaignEngine,
 ) -> Result<Vec<FaultEffect>, MateError> {
     let horizon = golden.trace.num_cycles();
@@ -346,15 +289,7 @@ pub fn classify_points_engine(
     let engine = engine.resolve(harness.topology());
     let probe = harness.testbench();
     Ok(if probe.can_run_wide() {
-        match lanes {
-            LaneWidth::W64 => classify_points_wide_concrete::<u64>(harness, golden, points, engine),
-            LaneWidth::W256 => {
-                classify_points_wide_concrete::<B256>(harness, golden, points, engine)
-            }
-            LaneWidth::W512 => {
-                classify_points_wide_concrete::<B512>(harness, golden, points, engine)
-            }
-        }
+        classify_points_wide(harness, golden, points, engine)
     } else if probe.can_checkpoint() {
         classify_points_checkpoint(harness, golden, points)
     } else {
@@ -375,7 +310,7 @@ pub fn classify_points_engine(
 /// cone-support fingerprints and one representative per class is probed for
 /// one cycle; only what the probe window cannot decide is simulated in
 /// full.  The returned [`PruningStats`] account for the saved work.  Every
-/// pruning mode, engine, lane width, and thread count produces bit-identical
+/// pruning mode, engine, and thread count produces bit-identical
 /// [`FaultEffect`] classifications; checkpointed and scalar harnesses
 /// cannot collapse (their per-point state is opaque to the delta prober)
 /// and report unpruned stats.
@@ -388,7 +323,6 @@ pub fn classify_points_pruned(
     harness: &dyn DesignHarness,
     golden: &GoldenRun,
     points: &[FaultPoint],
-    lanes: LaneWidth,
     engine: CampaignEngine,
     pruning: CampaignPruning,
 ) -> Result<(Vec<FaultEffect>, PruningStats), MateError> {
@@ -401,41 +335,31 @@ pub fn classify_points_pruned(
     }
     if pruning == CampaignPruning::Collapse && harness.testbench().can_run_wide() {
         let engine = engine.resolve(harness.topology());
-        Ok(crate::collapse::classify_points_collapse_width(
-            harness, golden, points, lanes, engine,
+        Ok(crate::collapse::classify_points_collapse(
+            harness, golden, points, engine,
         ))
     } else {
-        let effects = classify_points_engine(harness, golden, points, lanes, engine)?;
+        let effects = classify_points_engine(harness, golden, points, engine)?;
         let stats = PruningStats::unpruned(points.len());
         Ok((effects, stats))
     }
 }
 
-/// The wide path at one concrete lane width: dispatches a *resolved*
-/// engine ([`CampaignEngine::Auto`] defensively maps to differential).
-/// Shared by [`classify_points_engine`] and the collapsing fallback.
-pub(crate) fn classify_points_wide_concrete<B: LaneBlock>(
+/// The wide path: dispatches a *resolved* engine
+/// ([`CampaignEngine::Auto`] defensively maps to differential).  Shared by
+/// [`classify_points_engine`] and the collapsing fallback.
+pub(crate) fn classify_points_wide(
     harness: &dyn DesignHarness,
     golden: &GoldenRun,
     points: &[FaultPoint],
     engine: CampaignEngine,
 ) -> Vec<FaultEffect> {
     match engine {
-        CampaignEngine::FullSettle => classify_points_block::<B>(harness, golden, points),
+        CampaignEngine::FullSettle => classify_points_full_settle(harness, golden, points),
         CampaignEngine::Differential | CampaignEngine::Auto => {
-            classify_points_differential::<B>(harness, golden, points)
+            classify_points_differential(harness, golden, points)
         }
     }
-}
-
-/// The wide multi-SEU path at one concrete lane width, shared by
-/// [`classify_multi_points`] and the collapsing fallback.
-pub(crate) fn classify_multi_wide_concrete<B: LaneBlock>(
-    harness: &dyn DesignHarness,
-    golden: &GoldenRun,
-    sets: &[Vec<FaultPoint>],
-) -> Vec<FaultEffect> {
-    classify_multi_differential::<B>(harness, golden, sets)
 }
 
 /// Per-net observation flags for the classification scans.  The bit
@@ -459,7 +383,7 @@ pub(crate) fn observed_flags(num_nets: usize, golden: &GoldenRun) -> Vec<u8> {
 }
 
 /// Per-cycle partition of the observed nets by their golden value, so the
-/// block classification loops need neither a per-net [`LaneBlock::splat`]
+/// full-settle classification loop needs neither a per-net golden broadcast
 /// nor a per-net golden bit probe: a lane diverges on a golden-one net iff
 /// its value bit is 0 (`diff |= !v`), on a golden-zero net iff it is 1
 /// (`diff |= v`).
@@ -502,10 +426,10 @@ impl GoldenPartition {
     }
 }
 
-/// The block-lane engine behind [`classify_points_with`]: groups points by
-/// injection cycle, packs up to `B::WIDTH` of them into one lane-parallel
-/// run seeded from the golden trace, and compares every lane against golden
-/// with block XORs.
+/// The full-settle engine behind [`classify_points_engine`]: groups points
+/// by injection cycle, packs up to 64 of them into one lane-parallel run
+/// seeded from the golden trace, and compares every lane against golden
+/// with word XORs.
 ///
 /// Early retirement is sound here because the wide path requires a harness
 /// without devices: once a lane's full flip-flop state re-converges to the
@@ -514,7 +438,7 @@ impl GoldenPartition {
 /// decided — `OutputFailure` can no longer occur and the recorded
 /// convergence offset is final, exactly as the scalar classifier would
 /// conclude after running out the horizon.
-fn classify_points_block<B: LaneBlock>(
+fn classify_points_full_settle(
     harness: &dyn DesignHarness,
     golden: &GoldenRun,
     points: &[FaultPoint],
@@ -523,13 +447,11 @@ fn classify_points_block<B: LaneBlock>(
     // The testbench is used purely as a stimulus source; pure waves may be
     // sampled at arbitrary cycles.
     let mut stim = harness.testbench();
-    let mut wide: BlockSimulator<'_, B> =
-        BlockSimulator::new(harness.netlist(), harness.topology());
+    let mut wide = WideSimulator::new(harness.netlist(), harness.topology());
     // Golden comparisons are precomputed per cycle: the observed nets are
     // partitioned by golden value once, outside the chunk loop, so the
-    // per-chunk classification is pure block ops — no per-net splat, no
-    // per-net trace probe.  (Splatting every observed net per cycle per
-    // chunk was what made the 256/512-lane backends slower than 64.)
+    // per-chunk classification is pure word ops — no per-net broadcast, no
+    // per-net trace probe.
     let transposed = TransposedTrace::from_trace(&golden.trace);
     let part = GoldenPartition::build(golden, &transposed);
 
@@ -540,42 +462,42 @@ fn classify_points_block<B: LaneBlock>(
 
     let mut effects = vec![FaultEffect::Latent; points.len()];
     for (&cycle, indices) in &by_cycle {
-        for chunk in indices.chunks(B::WIDTH) {
+        for chunk in indices.chunks(WORD_LANES) {
             wide.load_from_trace(&golden.trace, cycle);
             for (lane, &idx) in chunk.iter().enumerate() {
                 wide.flip_ff(points[idx].ff, lane);
             }
-            let mut active = B::low_lanes(chunk.len());
+            let mut active = low_lanes(chunk.len());
             for t in cycle..horizon {
-                stim.apply_stimuli_block(&mut wide, t as u64);
+                stim.apply_stimuli_wide(&mut wide, t as u64);
                 wide.settle();
                 // Outputs first, mirroring the scalar classifier's priority.
-                let mut out_diff = B::ZERO;
+                let mut out_diff = 0u64;
                 for &net in &part.out_ones[t] {
-                    out_diff |= !wide.value_block(NetId::from_index(net as usize));
+                    out_diff |= !wide.value_word(NetId::from_index(net as usize));
                 }
                 for &net in &part.out_zeros[t] {
-                    out_diff |= wide.value_block(NetId::from_index(net as usize));
+                    out_diff |= wide.value_word(NetId::from_index(net as usize));
                 }
                 let failed = out_diff & active;
-                if !failed.is_zero() {
-                    failed.for_each_lane(|lane| {
+                if failed != 0 {
+                    for_each_lane(failed, |lane| {
                         effects[chunk[lane]] = FaultEffect::OutputFailure { after: t - cycle };
                     });
                     active &= !failed;
                 }
-                if t > cycle && !active.is_zero() {
-                    let mut state_diff = B::ZERO;
+                if t > cycle && active != 0 {
+                    let mut state_diff = 0u64;
                     for &net in &part.state_ones[t] {
-                        state_diff |= !wide.value_block(NetId::from_index(net as usize));
+                        state_diff |= !wide.value_word(NetId::from_index(net as usize));
                     }
                     for &net in &part.state_zeros[t] {
-                        state_diff |= wide.value_block(NetId::from_index(net as usize));
+                        state_diff |= wide.value_word(NetId::from_index(net as usize));
                     }
                     let converged = active & !state_diff;
-                    if !converged.is_zero() {
+                    if converged != 0 {
                         let after = t - cycle;
-                        converged.for_each_lane(|lane| {
+                        for_each_lane(converged, |lane| {
                             effects[chunk[lane]] = if after == 1 {
                                 FaultEffect::MaskedWithinOneCycle
                             } else {
@@ -585,7 +507,7 @@ fn classify_points_block<B: LaneBlock>(
                         active &= !converged;
                     }
                 }
-                if active.is_zero() {
+                if active == 0 {
                     break;
                 }
                 wide.tick();
@@ -598,17 +520,17 @@ fn classify_points_block<B: LaneBlock>(
 }
 
 /// The event-driven engine behind [`classify_points_engine`]: like
-/// [`classify_points_block`] in grouping and retirement, but the chunk runs
-/// on a [`DeltaSimulator`] — campaign stimuli equal the golden stimuli by
-/// construction, so input deltas are identically zero and only the dirty
-/// fan-out frontier of each fault cone is ever re-evaluated.  The
+/// [`classify_points_full_settle`] in grouping and retirement, but the
+/// chunk runs on a [`DeltaSimulator`] — campaign stimuli equal the golden
+/// stimuli by construction, so input deltas are identically zero and only
+/// the dirty fan-out frontier of each fault cone is ever re-evaluated.  The
 /// classification scan walks the simulator's nonzero-delta set rather than
 /// all observed nets: any net absent from it matches golden in every lane.
 ///
 /// Early retirement is sound for the same reason as in the full-settle
 /// engine; convergence here is simply the lane's bits vanishing from every
 /// delta, which the frontier detects without a state scan.
-fn classify_points_differential<B: LaneBlock>(
+fn classify_points_differential(
     harness: &dyn DesignHarness,
     golden: &GoldenRun,
     points: &[FaultPoint],
@@ -616,8 +538,7 @@ fn classify_points_differential<B: LaneBlock>(
     let horizon = golden.trace.num_cycles();
     let transposed = TransposedTrace::from_trace(&golden.trace);
     let flags = observed_flags(harness.netlist().num_nets(), golden);
-    let mut delta: DeltaSimulator<'_, B> =
-        DeltaSimulator::new(harness.netlist(), harness.topology());
+    let mut delta = DeltaSimulator::new(harness.netlist(), harness.topology());
 
     let mut by_cycle: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
     for (idx, p) in points.iter().enumerate() {
@@ -626,7 +547,7 @@ fn classify_points_differential<B: LaneBlock>(
 
     let mut effects = vec![FaultEffect::Latent; points.len()];
     for (&cycle, indices) in &by_cycle {
-        for chunk in indices.chunks(B::WIDTH) {
+        for chunk in indices.chunks(WORD_LANES) {
             delta.begin(cycle);
             for (lane, &idx) in chunk.iter().enumerate() {
                 delta.flip_ff(points[idx].ff, lane);
@@ -637,7 +558,7 @@ fn classify_points_differential<B: LaneBlock>(
                 &flags,
                 cycle,
                 horizon,
-                B::low_lanes(chunk.len()),
+                low_lanes(chunk.len()),
                 |lane, effect| effects[chunk[lane]] = effect,
             );
         }
@@ -648,13 +569,13 @@ fn classify_points_differential<B: LaneBlock>(
 /// Runs one lane chunk of the differential engine from `cycle` to the
 /// horizon, calling `retire(lane, effect)` as lanes classify.  Lanes still
 /// active at the horizon are `Latent` and are *not* reported.
-fn retire_chunk_differential<B: LaneBlock>(
-    delta: &mut DeltaSimulator<'_, B>,
+fn retire_chunk_differential(
+    delta: &mut DeltaSimulator<'_>,
     transposed: &TransposedTrace,
     flags: &[u8],
     cycle: usize,
     horizon: usize,
-    mut active: B,
+    mut active: u64,
     mut retire: impl FnMut(usize, FaultEffect),
 ) {
     for t in cycle..horizon {
@@ -665,17 +586,17 @@ fn retire_chunk_differential<B: LaneBlock>(
         let [out_diff, state_diff, _] = delta.scan_flagged(flags);
         // Outputs first, mirroring the scalar classifier's priority.
         let failed = out_diff & active;
-        if !failed.is_zero() {
-            failed.for_each_lane(|lane| {
+        if failed != 0 {
+            for_each_lane(failed, |lane| {
                 retire(lane, FaultEffect::OutputFailure { after: t - cycle });
             });
             active &= !failed;
         }
-        if t > cycle && !active.is_zero() {
+        if t > cycle && active != 0 {
             let converged = active & !state_diff;
-            if !converged.is_zero() {
+            if converged != 0 {
                 let after = t - cycle;
-                converged.for_each_lane(|lane| {
+                for_each_lane(converged, |lane| {
                     retire(
                         lane,
                         if after == 1 {
@@ -688,7 +609,7 @@ fn retire_chunk_differential<B: LaneBlock>(
                 active &= !converged;
             }
         }
-        if active.is_zero() {
+        if active == 0 {
             break;
         }
         if active != before {
@@ -778,8 +699,8 @@ pub fn inject_multi(
 /// Classifies a batch of simultaneous multi-bit SEU *sets* — one set per
 /// lane — against `golden`: the batched counterpart of [`inject_multi`]
 /// for the multi-SEU search of `mate-core`.  Wide-capable harnesses run on
-/// the differential engine (up to [`LaneWidth::lanes`] whole sets per
-/// pass); anything else falls back to one scalar [`inject_multi`] per set.
+/// the differential engine (up to 64 whole sets per pass); anything else
+/// falls back to one scalar [`inject_multi`] per set.
 /// Results are returned in the order of `sets` and are bit-identical to
 /// the scalar path.
 ///
@@ -791,7 +712,6 @@ pub fn classify_multi_points(
     harness: &dyn DesignHarness,
     golden: &GoldenRun,
     sets: &[Vec<FaultPoint>],
-    lanes: LaneWidth,
 ) -> Result<Vec<FaultEffect>, MateError> {
     let horizon = golden.trace.num_cycles();
     for set in sets {
@@ -816,11 +736,7 @@ pub fn classify_multi_points(
             .map(|set| inject_multi(harness, golden, set))
             .collect();
     }
-    Ok(match lanes {
-        LaneWidth::W64 => classify_multi_wide_concrete::<u64>(harness, golden, sets),
-        LaneWidth::W256 => classify_multi_wide_concrete::<B256>(harness, golden, sets),
-        LaneWidth::W512 => classify_multi_wide_concrete::<B512>(harness, golden, sets),
-    })
+    Ok(classify_multi_differential(harness, golden, sets))
 }
 
 /// Classifies simultaneous multi-SEU sets with optional fault-space
@@ -838,11 +754,10 @@ pub fn classify_multi_points_pruned(
     harness: &dyn DesignHarness,
     golden: &GoldenRun,
     sets: &[Vec<FaultPoint>],
-    lanes: LaneWidth,
     pruning: CampaignPruning,
 ) -> Result<(Vec<FaultEffect>, PruningStats), MateError> {
     if pruning == CampaignPruning::Off || !harness.testbench().can_run_wide() {
-        let effects = classify_multi_points(harness, golden, sets, lanes)?;
+        let effects = classify_multi_points(harness, golden, sets)?;
         return Ok((effects, PruningStats::unpruned(sets.len())));
     }
     // Re-run the set validation of the unpruned path before collapsing.
@@ -863,15 +778,16 @@ pub fn classify_multi_points_pruned(
             )));
         }
     }
-    Ok(crate::collapse::classify_multi_collapse_width(
-        harness, golden, sets, lanes,
+    Ok(crate::collapse::classify_multi_collapse(
+        harness, golden, sets,
     ))
 }
 
-/// The lane-parallel body of [`classify_multi_points`]: identical chunking
-/// to [`classify_points_differential`], except each lane carries *all*
-/// flips of its set.
-fn classify_multi_differential<B: LaneBlock>(
+/// The lane-parallel body of [`classify_multi_points`], shared with the
+/// collapsing fallback: identical chunking to
+/// [`classify_points_differential`], except each lane carries *all* flips
+/// of its set.
+pub(crate) fn classify_multi_differential(
     harness: &dyn DesignHarness,
     golden: &GoldenRun,
     sets: &[Vec<FaultPoint>],
@@ -879,8 +795,7 @@ fn classify_multi_differential<B: LaneBlock>(
     let horizon = golden.trace.num_cycles();
     let transposed = TransposedTrace::from_trace(&golden.trace);
     let flags = observed_flags(harness.netlist().num_nets(), golden);
-    let mut delta: DeltaSimulator<'_, B> =
-        DeltaSimulator::new(harness.netlist(), harness.topology());
+    let mut delta = DeltaSimulator::new(harness.netlist(), harness.topology());
 
     let mut by_cycle: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
     for (idx, set) in sets.iter().enumerate() {
@@ -889,7 +804,7 @@ fn classify_multi_differential<B: LaneBlock>(
 
     let mut effects = vec![FaultEffect::Latent; sets.len()];
     for (&cycle, indices) in &by_cycle {
-        for chunk in indices.chunks(B::WIDTH) {
+        for chunk in indices.chunks(WORD_LANES) {
             delta.begin(cycle);
             for (lane, &idx) in chunk.iter().enumerate() {
                 for point in &sets[idx] {
@@ -902,7 +817,7 @@ fn classify_multi_differential<B: LaneBlock>(
                 &flags,
                 cycle,
                 horizon,
-                B::low_lanes(chunk.len()),
+                low_lanes(chunk.len()),
                 |lane, effect| effects[chunk[lane]] = effect,
             );
         }
@@ -1005,9 +920,6 @@ pub struct CampaignConfig {
     /// cores (the [`crate::SearchConfig`]-style convention).  Results are
     /// bit-identical for every thread count.
     pub threads: usize,
-    /// Lane width of the batched engine (scenarios per simulation pass).
-    /// Results are bit-identical for every width.
-    pub lanes: LaneWidth,
     /// Which batched engine classifies wide-capable workloads.  Results
     /// are bit-identical for every choice.
     pub engine: CampaignEngine,
@@ -1024,7 +936,6 @@ impl Default for CampaignConfig {
             sample: None,
             seed: 0,
             threads: 0,
-            lanes: LaneWidth::default(),
             engine: CampaignEngine::default(),
             pruning: CampaignPruning::default(),
         }
@@ -1125,10 +1036,9 @@ fn effective_threads(threads: usize, points: usize) -> usize {
 
 /// Runs a full (or sampled) injection campaign over `space` on the batched
 /// engine selected by [`CampaignConfig::engine`]: identical records to
-/// [`run_campaign`], at up to [`CampaignConfig::lanes`] fault scenarios
-/// per simulation via [`classify_points_engine`], sharded over
-/// [`CampaignConfig::threads`] worker threads (threads × lanes concurrent
-/// fault scenarios).
+/// [`run_campaign`], at up to 64 fault scenarios per simulation via
+/// [`classify_points_engine`], sharded over [`CampaignConfig::threads`]
+/// worker threads (threads × 64 concurrent fault scenarios).
 ///
 /// Each thread classifies one contiguous chunk of the point list into its
 /// slice of the result buffer, so the records come back in the original
@@ -1152,14 +1062,7 @@ pub fn run_campaign_wide(
     .collect();
     let threads = effective_threads(config.threads, points.len());
     let (effects, pruning) = if threads <= 1 {
-        classify_points_pruned(
-            harness,
-            &golden,
-            &points,
-            config.lanes,
-            config.engine,
-            config.pruning,
-        )?
+        classify_points_pruned(harness, &golden, &points, config.engine, config.pruning)?
     } else {
         let chunk = points.len().div_ceil(threads);
         let mut shards: Vec<Result<(Vec<FaultEffect>, PruningStats), MateError>> = points
@@ -1167,13 +1070,12 @@ pub fn run_campaign_wide(
             .map(|_| Ok(Default::default()))
             .collect();
         let golden = &golden;
-        let lanes = config.lanes;
         let engine = config.engine;
         let mode = config.pruning;
         std::thread::scope(|scope| {
             for (pts, out) in points.chunks(chunk).zip(shards.iter_mut()) {
                 scope.spawn(move || {
-                    *out = classify_points_pruned(harness, golden, pts, lanes, engine, mode);
+                    *out = classify_points_pruned(harness, golden, pts, engine, mode);
                 });
             }
         });
@@ -1334,55 +1236,21 @@ mod tests {
             sample: None,
             seed: 0,
             threads: 1,
-            lanes: LaneWidth::W64,
             engine: CampaignEngine::default(),
             pruning: CampaignPruning::default(),
         };
         let single = run_campaign_wide(&harness, &space, &base).unwrap();
         for threads in [0usize, 2, 4, 7, 1000] {
-            for lanes in LaneWidth::all() {
-                let sharded = run_campaign_wide(
-                    &harness,
-                    &space,
-                    &CampaignConfig {
-                        threads,
-                        lanes,
-                        ..base
-                    },
-                )
-                .unwrap();
-                assert_eq!(
-                    single.records, sharded.records,
-                    "{threads} threads, {lanes} lanes"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn lane_widths_match_scalar_reference() {
-        // The block engines must classify bit-identically to the scalar
-        // `inject` path, including partially filled tail blocks.
-        let (n, topo) = counter(5);
-        let en = n.find_net("en").unwrap();
-        let harness = StimulusHarness::new(n, topo).drive(en, vec![true, true, false]);
-        let space = FaultSpace::all_ffs(harness.netlist(), harness.topology(), 20);
-        let golden = golden_run(&harness, 21);
-        let points: Vec<FaultPoint> = space.iter().collect();
-        let scalar: Vec<FaultEffect> = points
-            .iter()
-            .map(|&p| inject(&harness, &golden, p).unwrap())
-            .collect();
-        for lanes in LaneWidth::all() {
-            let block = classify_points_with(&harness, &golden, &points, lanes).unwrap();
-            assert_eq!(scalar, block, "{lanes} lanes");
+            let sharded =
+                run_campaign_wide(&harness, &space, &CampaignConfig { threads, ..base }).unwrap();
+            assert_eq!(single.records, sharded.records, "{threads} threads");
         }
     }
 
     #[test]
     fn engines_match_scalar_reference() {
         // Both batched engines classify bit-identically to the scalar
-        // `inject` path across every lane width.
+        // `inject` path, including partially filled tail chunks.
         let (n, topo) = counter(5);
         let en = n.find_net("en").unwrap();
         let harness = StimulusHarness::new(n, topo).drive(en, vec![true, true, false]);
@@ -1394,11 +1262,8 @@ mod tests {
             .map(|&p| inject(&harness, &golden, p).unwrap())
             .collect();
         for engine in CampaignEngine::all() {
-            for lanes in LaneWidth::all() {
-                let batched =
-                    classify_points_engine(&harness, &golden, &points, lanes, engine).unwrap();
-                assert_eq!(scalar, batched, "{engine} engine, {lanes} lanes");
-            }
+            let batched = classify_points_engine(&harness, &golden, &points, engine).unwrap();
+            assert_eq!(scalar, batched, "{engine} engine");
         }
     }
 
@@ -1414,7 +1279,6 @@ mod tests {
         let base = CampaignConfig {
             cycles: 10,
             threads: 1,
-            lanes: LaneWidth::W64,
             engine: CampaignEngine::FullSettle,
             ..CampaignConfig::default()
         };
@@ -1469,10 +1333,8 @@ mod tests {
             .iter()
             .map(|s| inject_multi(&harness, &golden, s).unwrap())
             .collect();
-        for lanes in LaneWidth::all() {
-            let batched = classify_multi_points(&harness, &golden, &sets, lanes).unwrap();
-            assert_eq!(scalar, batched, "{lanes} lanes");
-        }
+        let batched = classify_multi_points(&harness, &golden, &sets).unwrap();
+        assert_eq!(scalar, batched);
     }
 
     #[test]
@@ -1485,11 +1347,11 @@ mod tests {
         let wire = harness.netlist().cell(ff).output();
         let p = |cycle| FaultPoint { ff, wire, cycle };
         let empty: Vec<Vec<FaultPoint>> = vec![vec![]];
-        assert!(classify_multi_points(&harness, &golden, &empty, LaneWidth::W64).is_err());
+        assert!(classify_multi_points(&harness, &golden, &empty).is_err());
         let mixed = vec![vec![p(1), p(2)]];
-        assert!(classify_multi_points(&harness, &golden, &mixed, LaneWidth::W64).is_err());
+        assert!(classify_multi_points(&harness, &golden, &mixed).is_err());
         let beyond = vec![vec![p(99)]];
-        assert!(classify_multi_points(&harness, &golden, &beyond, LaneWidth::W64).is_err());
+        assert!(classify_multi_points(&harness, &golden, &beyond).is_err());
     }
 
     #[test]

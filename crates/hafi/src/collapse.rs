@@ -23,7 +23,7 @@
 //!    class, and the collapsed path must stay bit-identical to the
 //!    unpruned reference.
 //! 3. **Representative probing** — one [`DeltaSimulator`] settle per class
-//!    (lane-batched, up to `B::WIDTH` classes per settle) decides the whole
+//!    (lane-batched, up to 64 classes per settle) decides the whole
 //!    class: an output delta is an immediate `OutputFailure`; an empty
 //!    next-state delta kills the class (the dominant case — the paper
 //!    reports most benign faults mask within one cycle); a surviving delta
@@ -53,19 +53,17 @@
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
-use mate_netlist::{ConeSupport, LaneBlock, SoaNetlist, B256, B512};
+use mate_netlist::{ConeSupport, SoaNetlist, WORD_LANES};
 use mate_sim::{DeltaSimulator, TransposedTrace};
 
-use crate::campaign::{
-    observed_flags, CampaignEngine, FaultEffect, GoldenRun, LaneWidth, OBS_NEXT,
-};
+use crate::campaign::{observed_flags, CampaignEngine, FaultEffect, GoldenRun, OBS_NEXT};
 use crate::harness::DesignHarness;
 use crate::space::FaultPoint;
 
 /// Whether the campaign collapses the fault space before simulating.
 ///
 /// Both modes produce bit-identical [`FaultEffect`] classifications for
-/// every engine, lane width, and thread count (enforced by the campaign
+/// every engine and thread count (enforced by the campaign
 /// proptests and the CI equivalence gate); collapsing only removes
 /// redundant work.  Only wide-capable harnesses (no external devices) can
 /// collapse — checkpointed and scalar paths ignore the setting.
@@ -259,7 +257,7 @@ type ClassKey = (u32, u64);
 /// Single-SEU points are singleton sets; simultaneous multi-SEU sets ride
 /// the same machinery unchanged — the probe flips the whole set into one
 /// lane and [`SoaNetlist::cone_support`] unions the cones.
-fn collapse_classify<B: LaneBlock>(
+fn collapse_classify(
     harness: &dyn DesignHarness,
     golden: &GoldenRun,
     initial: Vec<(Vec<u32>, usize)>,
@@ -279,7 +277,7 @@ fn collapse_classify<B: LaneBlock>(
         flags[d as usize] |= OBS_NEXT;
     }
 
-    let mut delta: DeltaSimulator<'_, B> = DeltaSimulator::with_arena(netlist, &soa);
+    let mut delta = DeltaSimulator::with_arena(netlist, &soa);
     let mut intern = SetIntern::default();
     let mut memo: HashMap<ClassKey, Verdict> = HashMap::new();
 
@@ -346,7 +344,7 @@ fn collapse_classify<B: LaneBlock>(
                 .push((key, members));
         }
         for (cycle, batch) in by_cycle {
-            for chunk in batch.chunks(B::WIDTH) {
+            for chunk in batch.chunks(WORD_LANES) {
                 delta.begin(cycle as usize);
                 for (lane, (key, _)) in chunk.iter().enumerate() {
                     for &ff in &intern.sets[key.0 as usize] {
@@ -356,12 +354,13 @@ fn collapse_classify<B: LaneBlock>(
                 delta.settle(&transposed);
                 stats.probes += chunk.len();
                 let [out_diff, _, next_diff] = delta.scan_flagged(&flags);
+                let in_lane = |word: u64, lane: usize| word >> lane & 1 != 0;
                 // Pass 1 (interner borrowed shared): raw per-lane verdicts.
                 let raw: Vec<Option<Vec<u32>>> = chunk
                     .iter()
                     .enumerate()
                     .map(|(lane, (key, _))| {
-                        if out_diff.lane(lane) || !next_diff.lane(lane) {
+                        if in_lane(out_diff, lane) || !in_lane(next_diff, lane) {
                             None
                         } else {
                             // The surviving set: endpoints whose D delta is
@@ -373,7 +372,7 @@ fn collapse_classify<B: LaneBlock>(
                                     .expect("support computed during grouping")
                                     .endpoints
                                     .iter()
-                                    .filter(|&&(_, d)| delta.delta_raw(d as usize).lane(lane))
+                                    .filter(|&&(_, d)| in_lane(delta.delta_raw(d as usize), lane))
                                     .map(|&(ff, _)| ff)
                                     .collect(),
                             )
@@ -385,7 +384,7 @@ fn collapse_classify<B: LaneBlock>(
                 for (lane, ((key, members), survivors)) in chunk.iter().zip(raw).enumerate() {
                     let verdict = match survivors {
                         Some(ffs) => Verdict::Survives(intern.intern(ffs)),
-                        None if out_diff.lane(lane) => Verdict::OutputNow,
+                        None if in_lane(out_diff, lane) => Verdict::OutputNow,
                         None => Verdict::DiesNext,
                     };
                     memo.insert(*key, verdict);
@@ -469,7 +468,7 @@ fn ff_indices(harness: &dyn DesignHarness) -> HashMap<mate_netlist::CellId, u32>
 /// Bit-identical to [`classify_points_engine`] with pruning off.
 ///
 /// [`classify_points_engine`]: crate::campaign::classify_points_engine
-pub(crate) fn classify_points_collapse<B: LaneBlock>(
+pub(crate) fn classify_points_collapse(
     harness: &dyn DesignHarness,
     golden: &GoldenRun,
     points: &[FaultPoint],
@@ -478,9 +477,9 @@ pub(crate) fn classify_points_collapse<B: LaneBlock>(
     let idx = ff_indices(harness);
     let initial: Vec<(Vec<u32>, usize)> =
         points.iter().map(|p| (vec![idx[&p.ff]], p.cycle)).collect();
-    collapse_classify::<B>(harness, golden, initial, |undecided| {
+    collapse_classify(harness, golden, initial, |undecided| {
         let fb: Vec<FaultPoint> = undecided.iter().map(|&i| points[i as usize]).collect();
-        crate::campaign::classify_points_wide_concrete::<B>(harness, golden, &fb, engine)
+        crate::campaign::classify_points_wide(harness, golden, &fb, engine)
     })
 }
 
@@ -490,7 +489,7 @@ pub(crate) fn classify_points_collapse<B: LaneBlock>(
 /// [`classify_multi_points`] with pruning off.
 ///
 /// [`classify_multi_points`]: crate::campaign::classify_multi_points
-pub(crate) fn classify_multi_collapse<B: LaneBlock>(
+pub(crate) fn classify_multi_collapse(
     harness: &dyn DesignHarness,
     golden: &GoldenRun,
     sets: &[Vec<FaultPoint>],
@@ -514,43 +513,13 @@ pub(crate) fn classify_multi_collapse<B: LaneBlock>(
             (parity, set[0].cycle)
         })
         .collect();
-    collapse_classify::<B>(harness, golden, initial, |undecided| {
+    collapse_classify(harness, golden, initial, |undecided| {
         let fb: Vec<Vec<FaultPoint>> = undecided
             .iter()
             .map(|&i| sets[i as usize].clone())
             .collect();
-        crate::campaign::classify_multi_wide_concrete::<B>(harness, golden, &fb)
+        crate::campaign::classify_multi_differential(harness, golden, &fb)
     })
-}
-
-/// Width-dispatched single-SEU collapsing (callers have already validated
-/// cycles, resolved the engine, and checked `can_run_wide`).
-pub(crate) fn classify_points_collapse_width(
-    harness: &dyn DesignHarness,
-    golden: &GoldenRun,
-    points: &[FaultPoint],
-    lanes: LaneWidth,
-    engine: CampaignEngine,
-) -> (Vec<FaultEffect>, PruningStats) {
-    match lanes {
-        LaneWidth::W64 => classify_points_collapse::<u64>(harness, golden, points, engine),
-        LaneWidth::W256 => classify_points_collapse::<B256>(harness, golden, points, engine),
-        LaneWidth::W512 => classify_points_collapse::<B512>(harness, golden, points, engine),
-    }
-}
-
-/// Width-dispatched multi-SEU collapsing (same caller contract).
-pub(crate) fn classify_multi_collapse_width(
-    harness: &dyn DesignHarness,
-    golden: &GoldenRun,
-    sets: &[Vec<FaultPoint>],
-    lanes: LaneWidth,
-) -> (Vec<FaultEffect>, PruningStats) {
-    match lanes {
-        LaneWidth::W64 => classify_multi_collapse::<u64>(harness, golden, sets),
-        LaneWidth::W256 => classify_multi_collapse::<B256>(harness, golden, sets),
-        LaneWidth::W512 => classify_multi_collapse::<B512>(harness, golden, sets),
-    }
 }
 
 #[cfg(test)]
@@ -613,7 +582,6 @@ mod tests {
             &harness,
             &golden,
             &points,
-            LaneWidth::W64,
             CampaignEngine::Differential,
             CampaignPruning::Collapse,
         )
@@ -659,7 +627,6 @@ mod tests {
                 &harness,
                 &golden,
                 &points,
-                LaneWidth::W256,
                 engine,
                 CampaignPruning::Collapse,
             )

@@ -28,9 +28,8 @@ pub mod validate;
 
 pub use campaign::{
     classify_multi_points, classify_multi_points_pruned, classify_points, classify_points_engine,
-    classify_points_pruned, classify_points_with, golden_run, inject, inject_multi,
-    inject_persistent, run_campaign, run_campaign_wide, CampaignConfig, CampaignEngine,
-    CampaignResult, FaultEffect, LaneWidth,
+    classify_points_pruned, golden_run, inject, inject_multi, inject_persistent, run_campaign,
+    run_campaign_wide, CampaignConfig, CampaignEngine, CampaignResult, FaultEffect,
 };
 pub use collapse::{CampaignPruning, PruningStats};
 pub use fpga::{CommandModel, LutCostModel};

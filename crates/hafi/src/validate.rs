@@ -12,7 +12,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use crate::campaign::{classify_points_pruned, golden_run, CampaignEngine, FaultEffect, LaneWidth};
+use crate::campaign::{classify_points_pruned, golden_run, CampaignEngine, FaultEffect};
 use crate::collapse::{CampaignPruning, PruningStats};
 use crate::harness::DesignHarness;
 use crate::space::{FaultPoint, FaultSpace};
@@ -102,8 +102,8 @@ pub fn validate_mates(
             claimed_points.truncate(limit);
         }
     }
-    // Batched classification with fault-space collapsing: up to a lane
-    // block of claimed points share one run, and — on wide-capable
+    // Batched classification with fault-space collapsing: up to 64
+    // claimed points share one run, and — on wide-capable
     // harnesses — temporally equivalent claims collapse onto one
     // representative probe each.  Almost every claimed point is masked
     // within one cycle, so whole equivalence classes die on their first
@@ -113,7 +113,6 @@ pub fn validate_mates(
         harness,
         &golden,
         &claimed_points,
-        LaneWidth::default(),
         CampaignEngine::default(),
         CampaignPruning::default(),
     )?;

@@ -19,7 +19,7 @@ use mate_cores::msp430::system::Msp430System;
 use mate_cores::Termination;
 use mate_hafi::{
     run_campaign_wide, CampaignConfig, CampaignEngine, CampaignPruning, DesignHarness, FaultSpace,
-    LaneWidth, StimulusHarness,
+    StimulusHarness,
 };
 use mate_netlist::examples::tmr_register;
 use mate_netlist::random::{random_circuit, RandomCircuitConfig};
@@ -75,7 +75,6 @@ fn assert_pruning_equivalent(
             sample,
             seed: 42,
             threads: 1,
-            lanes: LaneWidth::default(),
             engine: CampaignEngine::default(),
             pruning,
         };
@@ -173,7 +172,6 @@ fn random_wide_sweep_identical_across_engines_and_threads() {
             sample: None,
             seed: 0,
             threads: 1,
-            lanes: LaneWidth::W64,
             engine: CampaignEngine::FullSettle,
             pruning: CampaignPruning::Off,
         };
@@ -186,7 +184,6 @@ fn random_wide_sweep_identical_across_engines_and_threads() {
                 sample: None,
                 seed: 0,
                 threads,
-                lanes: LaneWidth::W256,
                 engine,
                 pruning: CampaignPruning::Collapse,
             };

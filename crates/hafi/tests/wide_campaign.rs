@@ -1,18 +1,19 @@
 //! The batched campaign engines must be pure performance changes: every
 //! path through [`classify_points_engine`] — differential, full-settle,
-//! checkpointed scalar, and the scalar fallback — at every lane width and
-//! thread count, has to produce classifications bit-identical to one
-//! [`inject`] call per fault point.
+//! checkpointed scalar, and the scalar fallback — at every thread count,
+//! has to produce classifications bit-identical to one [`inject`] call per
+//! fault point.
 
 use proptest::prelude::*;
 
 use mate_hafi::{
     classify_multi_points, classify_multi_points_pruned, classify_points, classify_points_engine,
     classify_points_pruned, golden_run, inject, inject_multi, run_campaign, run_campaign_wide,
-    CampaignConfig, CampaignEngine, CampaignPruning, DesignHarness, FaultPoint, FaultSpace,
-    LaneWidth, StimulusHarness,
+    CampaignConfig, CampaignEngine, CampaignPruning, CampaignResult, DesignHarness, FaultPoint,
+    FaultSpace, StimulusHarness,
 };
 use mate_netlist::random::{random_circuit, RandomCircuitConfig};
+use mate_netlist::WORD_LANES;
 
 fn harness_for(seed: u64, cfg: RandomCircuitConfig, cycles: usize) -> StimulusHarness {
     let (netlist, topo) = random_circuit(cfg, seed);
@@ -31,6 +32,64 @@ fn harness_for(seed: u64, cfg: RandomCircuitConfig, cycles: usize) -> StimulusHa
         harness = harness.drive(input, values);
     }
     harness
+}
+
+/// Runs the scalar campaign (one `inject` per point) and asserts that every
+/// engine × pruning mode × 1 and 3 threads of the wide campaign reproduces
+/// it record for record.  Returns the scalar result.
+fn assert_wide_matches_scalar_campaign(
+    harness: &StimulusHarness,
+    base: CampaignConfig,
+) -> Result<CampaignResult, TestCaseError> {
+    let space = FaultSpace::all_ffs(harness.netlist(), harness.topology(), base.cycles);
+    let scalar = run_campaign(harness, &space, &base).unwrap();
+    for engine in CampaignEngine::all() {
+        for pruning in CampaignPruning::all() {
+            for threads in [1, 3] {
+                let config = CampaignConfig {
+                    engine,
+                    pruning,
+                    threads,
+                    ..base
+                };
+                let wide = run_campaign_wide(harness, &space, &config).unwrap();
+                prop_assert_eq!(
+                    &scalar.records,
+                    &wide.records,
+                    "{} engine {} pruning {} threads",
+                    engine,
+                    pruning,
+                    threads
+                );
+            }
+        }
+    }
+    Ok(scalar)
+}
+
+/// On a design with more than 64 flip-flops one injection cycle spans two
+/// lane words, the second one partial, and thread shards cut cycles at
+/// arbitrary points: every chunking must keep each point's own verdict.
+#[test]
+fn wide_campaign_matches_scalar_campaign_across_lane_words() {
+    let cfg = RandomCircuitConfig {
+        inputs: 4,
+        ffs: 80,
+        gates: 240,
+        outputs: 4,
+    };
+    let cycles = 8;
+    let harness = harness_for(5, cfg, cycles + 1);
+    assert!(harness.testbench().can_run_wide());
+    assert!(harness.topology().seq_cells().len() > WORD_LANES);
+    let config = CampaignConfig {
+        cycles,
+        sample: None,
+        ..CampaignConfig::default()
+    };
+    let scalar = assert_wide_matches_scalar_campaign(&harness, config).unwrap();
+    // Mixed verdicts, so a point read from another lane would show.
+    assert!(scalar.histogram().len() >= 2, "{:?}", scalar.histogram());
 }
 
 proptest! {
@@ -68,16 +127,13 @@ proptest! {
         let cfg = RandomCircuitConfig { inputs: 4, ffs: 6, gates: 20, outputs: 2 };
         let cycles = 10;
         let harness = harness_for(seed.wrapping_add(13), cfg, cycles + 1);
-        let space = FaultSpace::all_ffs(harness.netlist(), harness.topology(), cycles);
         let config = CampaignConfig { cycles, sample: Some(40), seed, ..CampaignConfig::default() };
-        let scalar = run_campaign(&harness, &space, &config).unwrap();
-        let wide = run_campaign_wide(&harness, &space, &config).unwrap();
-        prop_assert_eq!(scalar.records, wide.records);
+        assert_wide_matches_scalar_campaign(&harness, config)?;
     }
 
-    /// The differential engine is bit-identical to the full-settle block
-    /// engine AND the scalar classifier, across every lane width, on the
-    /// exhaustive fault space of random circuits.
+    /// The differential engine is bit-identical to the full-settle engine
+    /// AND the scalar classifier on the exhaustive fault space of random
+    /// circuits.
     #[test]
     fn differential_matches_full_settle_and_scalar(seed in 0u64..5_000) {
         let cfg = RandomCircuitConfig { inputs: 3, ffs: 8, gates: 28, outputs: 2 };
@@ -92,15 +148,9 @@ proptest! {
             .iter()
             .map(|&p| inject(&harness, &golden, p).unwrap())
             .collect();
-        for lanes in LaneWidth::all() {
-            for engine in CampaignEngine::all() {
-                let batched =
-                    classify_points_engine(&harness, &golden, &points, lanes, engine).unwrap();
-                prop_assert_eq!(
-                    &scalar, &batched,
-                    "seed {} {} engine {} lanes", seed, engine, lanes
-                );
-            }
+        for engine in CampaignEngine::all() {
+            let batched = classify_points_engine(&harness, &golden, &points, engine).unwrap();
+            prop_assert_eq!(&scalar, &batched, "seed {} {} engine", seed, engine);
         }
     }
 
@@ -118,23 +168,20 @@ proptest! {
             sample: Some(30),
             seed,
             threads: 1,
-            lanes: LaneWidth::W64,
             engine: CampaignEngine::FullSettle,
             pruning: CampaignPruning::Off,
         };
         let reference = run_campaign_wide(&harness, &space, &base).unwrap();
         for engine in CampaignEngine::all() {
-            for lanes in LaneWidth::all() {
-                let sharded = run_campaign_wide(
-                    &harness,
-                    &space,
-                    &CampaignConfig { threads, lanes, engine, ..base },
-                ).unwrap();
-                prop_assert_eq!(
-                    &reference.records, &sharded.records,
-                    "{} engine {} lanes {} threads", engine, lanes, threads
-                );
-            }
+            let sharded = run_campaign_wide(
+                &harness,
+                &space,
+                &CampaignConfig { threads, engine, ..base },
+            ).unwrap();
+            prop_assert_eq!(
+                &reference.records, &sharded.records,
+                "{} engine {} threads", engine, threads
+            );
         }
     }
 
@@ -172,15 +219,13 @@ proptest! {
             .iter()
             .map(|s| inject_multi(&harness, &golden, s).unwrap())
             .collect();
-        for lanes in LaneWidth::all() {
-            let batched = classify_multi_points(&harness, &golden, &sets, lanes).unwrap();
-            prop_assert_eq!(&scalar, &batched, "seed {} {} lanes", seed, lanes);
-        }
+        let batched = classify_multi_points(&harness, &golden, &sets).unwrap();
+        prop_assert_eq!(&scalar, &batched, "seed {}", seed);
     }
 
     /// Fault-space collapsing is invisible in the records: the pruned
-    /// classification is bit-identical to the unpruned one across engines ×
-    /// lane widths on the exhaustive fault space, and the stats add up.
+    /// classification is bit-identical to the unpruned one across engines
+    /// on the exhaustive fault space, and the stats add up.
     #[test]
     fn pruned_classification_matches_unpruned(seed in 0u64..5_000) {
         let cfg = RandomCircuitConfig { inputs: 3, ffs: 8, gates: 28, outputs: 2 };
@@ -195,25 +240,20 @@ proptest! {
             .iter()
             .map(|&p| inject(&harness, &golden, p).unwrap())
             .collect();
-        for lanes in LaneWidth::all() {
-            for engine in CampaignEngine::all() {
-                let (unpruned, off_stats) = classify_points_pruned(
-                    &harness, &golden, &points, lanes, engine, CampaignPruning::Off,
-                ).unwrap();
-                let (pruned, stats) = classify_points_pruned(
-                    &harness, &golden, &points, lanes, engine, CampaignPruning::Collapse,
-                ).unwrap();
-                prop_assert_eq!(&scalar, &unpruned, "off: seed {seed} {engine} {lanes}");
-                prop_assert_eq!(
-                    &scalar, &pruned,
-                    "collapse: seed {} {} engine {} lanes", seed, engine, lanes
-                );
-                prop_assert_eq!(off_stats.skipped, 0);
-                prop_assert_eq!(off_stats.fallback, points.len());
-                prop_assert_eq!(stats.points, points.len());
-                prop_assert_eq!(stats.skipped + stats.fallback, stats.points);
-                prop_assert!(stats.classes <= stats.points);
-            }
+        for engine in CampaignEngine::all() {
+            let (unpruned, off_stats) = classify_points_pruned(
+                &harness, &golden, &points, engine, CampaignPruning::Off,
+            ).unwrap();
+            let (pruned, stats) = classify_points_pruned(
+                &harness, &golden, &points, engine, CampaignPruning::Collapse,
+            ).unwrap();
+            prop_assert_eq!(&scalar, &unpruned, "off: seed {seed} {engine}");
+            prop_assert_eq!(&scalar, &pruned, "collapse: seed {} {} engine", seed, engine);
+            prop_assert_eq!(off_stats.skipped, 0);
+            prop_assert_eq!(off_stats.fallback, points.len());
+            prop_assert_eq!(stats.points, points.len());
+            prop_assert_eq!(stats.skipped + stats.fallback, stats.points);
+            prop_assert!(stats.classes <= stats.points);
         }
     }
 
@@ -230,7 +270,6 @@ proptest! {
             sample: Some(30),
             seed,
             threads: 1,
-            lanes: LaneWidth::W64,
             engine: CampaignEngine::FullSettle,
             pruning: CampaignPruning::Off,
         };
@@ -283,17 +322,11 @@ proptest! {
             .iter()
             .map(|s| inject_multi(&harness, &golden, s).unwrap())
             .collect();
-        for lanes in LaneWidth::all() {
-            for pruning in CampaignPruning::all() {
-                let (batched, stats) =
-                    classify_multi_points_pruned(&harness, &golden, &sets, lanes, pruning)
-                        .unwrap();
-                prop_assert_eq!(
-                    &scalar, &batched,
-                    "seed {} {} lanes {} pruning", seed, lanes, pruning
-                );
-                prop_assert_eq!(stats.points, sets.len());
-            }
+        for pruning in CampaignPruning::all() {
+            let (batched, stats) =
+                classify_multi_points_pruned(&harness, &golden, &sets, pruning).unwrap();
+            prop_assert_eq!(&scalar, &batched, "seed {} {} pruning", seed, pruning);
+            prop_assert_eq!(stats.points, sets.len());
         }
     }
 }

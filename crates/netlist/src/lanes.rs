@@ -1,475 +1,79 @@
-//! Lane-block abstraction for bit-parallel fault evaluation.
+//! Bit-lane helpers for the bit-parallel kernels.
 //!
 //! Every hot kernel in this repository — the wide campaign simulator, the
 //! word-parallel MATE evaluator, the coverage ranking — packs one fault
-//! scenario (or one trace cycle) per *bit lane* and advances all lanes in
-//! lock-step with plain word operations.  Historically the lane container
-//! was hardcoded to `u64` (64 lanes per pass); [`LaneBlock`] generalizes the
-//! container so the same kernels run 64, 256, or 512 lanes per pass:
+//! scenario (or one trace cycle) per *bit lane* of a `u64` word and
+//! advances all 64 lanes in lock-step with plain word operations.
 //!
-//! * [`u64`] — one machine word, the baseline 64-lane engine.
-//! * [`B256`] — four words (256 lanes), sized for AVX2-class registers.
-//! * [`B512`] — eight words (512 lanes), sized for AVX-512-class registers.
+//! The lane container is `u64` and nothing else: wider blocks (256 and 512
+//! lanes) never won an end-to-end measurement, because a campaign packs
+//! only the points that share an injection cycle into one block, so most
+//! lanes of a wider block stay empty (see `DESIGN.md`).
 //!
-//! The wide blocks are plain fixed-size word arrays by default — LLVM
-//! auto-vectorizes their fixed-count inner loops — and, under the nightly
-//! `simd` cargo feature, route their bitwise operations through
-//! `std::simd::Simd` so the mapping to vector registers is explicit rather
-//! than heuristic.  Both implementations are bit-identical by construction;
-//! the proptest suites assert it anyway.
-//!
-//! [`WORD_LANES`] is the shared name for the one remaining load-bearing
-//! `64`: the number of lanes (bits) in a single `u64` word.  Sizing code
-//! outside the kernels (trace capture, prune-matrix rows, retirement masks)
-//! uses it instead of a magic number so the packing contract has one
-//! definition.
-
-use std::fmt::Debug;
-use std::hash::Hash;
-use std::ops::{BitAnd, BitAndAssign, BitOr, BitOrAssign, BitXor, BitXorAssign, Not};
-
-#[cfg(feature = "simd")]
-use std::simd::Simd;
+//! [`WORD_LANES`] names the one load-bearing `64`; sizing code outside the
+//! kernels (trace capture, prune-matrix rows, retirement masks) uses it
+//! instead of a magic number so the packing contract has one definition.
 
 /// Number of bit lanes in one `u64` word: the granularity every packed
 /// bitmap in the repository (traces, prune matrices, retirement masks) is
-/// sized in.  Equal to `<u64 as LaneBlock>::WIDTH`, exported as a plain
-/// constant so array-sizing expressions stay `const`-friendly.
+/// sized in.
 pub const WORD_LANES: usize = u64::BITS as usize;
 
-/// A fixed-width block of bit lanes that advances through the bit-parallel
-/// kernels as one unit.
+/// A word with the low `n` lanes set — the active mask of a partially
+/// filled word (e.g. the tail chunk of a fault-point list or the last
+/// word of a trace column).
 ///
-/// Implementations are thin wrappers over `[u64; WORDS]`: lane `l` lives in
-/// bit `l % 64` of word `l / 64`.  All bitwise structure is expressed via
-/// the standard operator traits, so generic kernels read exactly like their
-/// historical `u64` versions.
-pub trait LaneBlock:
-    Copy
-    + PartialEq
-    + Eq
-    + Debug
-    + Hash
-    + Send
-    + Sync
-    + BitAnd<Output = Self>
-    + BitOr<Output = Self>
-    + BitXor<Output = Self>
-    + Not<Output = Self>
-    + BitAndAssign
-    + BitOrAssign
-    + BitXorAssign
-    + 'static
-{
-    /// Number of bit lanes (fault scenarios / cycles) per block.
-    const WIDTH: usize;
-
-    /// Number of `u64` words backing one block (`WIDTH / 64`).
-    const WORDS: usize;
-
-    /// The all-zero block.
-    const ZERO: Self;
-
-    /// The all-ones block.
-    const ONES: Self;
-
-    /// Backing word `i` of the block (lane `64*i + b` is bit `b`).
-    fn word(&self, i: usize) -> u64;
-
-    /// Replaces backing word `i` of the block.
-    fn set_word(&mut self, i: usize, w: u64);
-
-    /// Broadcasts one bit to every lane (the golden-trace seed operation).
-    #[inline]
-    fn splat(bit: bool) -> Self {
-        if bit {
-            Self::ONES
-        } else {
-            Self::ZERO
-        }
-    }
-
-    /// All-ones when `bit` is set, all-zeros otherwise — like
-    /// [`LaneBlock::splat`] but guaranteed branch-free, for hot loops whose
-    /// `bit` is data-dependent and unpredictable (e.g. golden-trace
-    /// complements in the delta kernels, where a conditional would
-    /// mispredict half the time).
-    #[inline]
-    fn mask_from(bit: bool) -> Self {
-        let m = (bit as u64).wrapping_neg();
-        let mut b = Self::ZERO;
-        for i in 0..Self::WORDS {
-            b.set_word(i, m);
-        }
-        b
-    }
-
-    /// A mask with the low `n` lanes set — the active mask of a partially
-    /// filled block (e.g. the tail chunk of a fault-point list).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n > WIDTH`.
-    fn low_lanes(n: usize) -> Self {
-        assert!(n <= Self::WIDTH, "lane count {n} exceeds block width");
-        let mut b = Self::ZERO;
-        for i in 0..Self::WORDS {
-            let remaining = n.saturating_sub(i * WORD_LANES);
-            if remaining == 0 {
-                break;
-            }
-            b.set_word(
-                i,
-                if remaining >= WORD_LANES {
-                    u64::MAX
-                } else {
-                    (1u64 << remaining) - 1
-                },
-            );
-        }
-        b
-    }
-
-    /// The value of one lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane >= WIDTH`.
-    #[inline]
-    fn lane(&self, lane: usize) -> bool {
-        assert!(lane < Self::WIDTH, "lane {lane} out of range");
-        self.word(lane / WORD_LANES) >> (lane % WORD_LANES) & 1 != 0
-    }
-
-    /// Inverts one lane in place (the single-scenario SEU flip).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane >= WIDTH`.
-    #[inline]
-    fn flip_lane(&mut self, lane: usize) {
-        assert!(lane < Self::WIDTH, "lane {lane} out of range");
-        let wi = lane / WORD_LANES;
-        self.set_word(wi, self.word(wi) ^ (1u64 << (lane % WORD_LANES)));
-    }
-
-    /// Returns `true` when every lane is zero (the retirement test).
-    fn is_zero(&self) -> bool;
-
-    /// Number of set lanes across the block (coverage counting).
-    fn count_ones(&self) -> u32;
-
-    /// Calls `f` with the index of every set lane, in ascending order — the
-    /// generic form of the `trailing_zeros` / clear-lowest-bit scan the
-    /// 64-lane kernels use to walk failed or converged scenarios.
-    #[inline]
-    fn for_each_lane(&self, mut f: impl FnMut(usize)) {
-        for wi in 0..Self::WORDS {
-            let mut w = self.word(wi);
-            while w != 0 {
-                let b = w.trailing_zeros() as usize;
-                w &= w - 1;
-                f(wi * WORD_LANES + b);
-            }
-        }
+/// # Panics
+///
+/// Panics if `n > WORD_LANES`.
+#[inline]
+pub fn low_lanes(n: usize) -> u64 {
+    assert!(n <= WORD_LANES, "lane count {n} exceeds word width");
+    if n == WORD_LANES {
+        u64::MAX
+    } else {
+        (1u64 << n) - 1
     }
 }
 
-impl LaneBlock for u64 {
-    const WIDTH: usize = WORD_LANES;
-    const WORDS: usize = 1;
-    const ZERO: Self = 0;
-    const ONES: Self = u64::MAX;
-
-    #[inline]
-    fn word(&self, i: usize) -> u64 {
-        debug_assert_eq!(i, 0);
-        *self
-    }
-
-    #[inline]
-    fn set_word(&mut self, i: usize, w: u64) {
-        debug_assert_eq!(i, 0);
-        *self = w;
-    }
-
-    #[inline]
-    fn is_zero(&self) -> bool {
-        *self == 0
-    }
-
-    #[inline]
-    fn count_ones(&self) -> u32 {
-        u64::count_ones(*self)
+/// Calls `f` with the index of every set lane of `word`, in ascending
+/// order — the `trailing_zeros` / clear-lowest-bit scan the kernels use to
+/// walk failed or converged scenarios.
+#[inline]
+pub fn for_each_lane(mut word: u64, mut f: impl FnMut(usize)) {
+    while word != 0 {
+        f(word.trailing_zeros() as usize);
+        word &= word - 1;
     }
 }
-
-macro_rules! lane_block_array {
-    ($(#[$doc:meta])* $name:ident, $words:expr) => {
-        $(#[$doc])*
-        #[derive(Copy, Clone, PartialEq, Eq, Debug, Hash)]
-        #[repr(transparent)]
-        pub struct $name(pub [u64; $words]);
-
-        impl $name {
-            /// The backing words (lane `64*i + b` is bit `b` of word `i`).
-            #[inline]
-            pub fn to_words(self) -> [u64; $words] {
-                self.0
-            }
-        }
-
-        impl BitAnd for $name {
-            type Output = Self;
-            #[inline]
-            fn bitand(self, rhs: Self) -> Self {
-                #[cfg(feature = "simd")]
-                {
-                    Self((Simd::from_array(self.0) & Simd::from_array(rhs.0)).to_array())
-                }
-                #[cfg(not(feature = "simd"))]
-                {
-                    let mut out = self.0;
-                    for (o, r) in out.iter_mut().zip(rhs.0) {
-                        *o &= r;
-                    }
-                    Self(out)
-                }
-            }
-        }
-
-        impl BitOr for $name {
-            type Output = Self;
-            #[inline]
-            fn bitor(self, rhs: Self) -> Self {
-                #[cfg(feature = "simd")]
-                {
-                    Self((Simd::from_array(self.0) | Simd::from_array(rhs.0)).to_array())
-                }
-                #[cfg(not(feature = "simd"))]
-                {
-                    let mut out = self.0;
-                    for (o, r) in out.iter_mut().zip(rhs.0) {
-                        *o |= r;
-                    }
-                    Self(out)
-                }
-            }
-        }
-
-        impl BitXor for $name {
-            type Output = Self;
-            #[inline]
-            fn bitxor(self, rhs: Self) -> Self {
-                #[cfg(feature = "simd")]
-                {
-                    Self((Simd::from_array(self.0) ^ Simd::from_array(rhs.0)).to_array())
-                }
-                #[cfg(not(feature = "simd"))]
-                {
-                    let mut out = self.0;
-                    for (o, r) in out.iter_mut().zip(rhs.0) {
-                        *o ^= r;
-                    }
-                    Self(out)
-                }
-            }
-        }
-
-        impl Not for $name {
-            type Output = Self;
-            #[inline]
-            fn not(self) -> Self {
-                #[cfg(feature = "simd")]
-                {
-                    Self((!Simd::from_array(self.0)).to_array())
-                }
-                #[cfg(not(feature = "simd"))]
-                {
-                    let mut out = self.0;
-                    for o in out.iter_mut() {
-                        *o = !*o;
-                    }
-                    Self(out)
-                }
-            }
-        }
-
-        impl BitAndAssign for $name {
-            #[inline]
-            fn bitand_assign(&mut self, rhs: Self) {
-                *self = *self & rhs;
-            }
-        }
-
-        impl BitOrAssign for $name {
-            #[inline]
-            fn bitor_assign(&mut self, rhs: Self) {
-                *self = *self | rhs;
-            }
-        }
-
-        impl BitXorAssign for $name {
-            #[inline]
-            fn bitxor_assign(&mut self, rhs: Self) {
-                *self = *self ^ rhs;
-            }
-        }
-
-        impl Default for $name {
-            #[inline]
-            fn default() -> Self {
-                Self::ZERO
-            }
-        }
-
-        impl LaneBlock for $name {
-            const WIDTH: usize = $words * WORD_LANES;
-            const WORDS: usize = $words;
-            const ZERO: Self = Self([0; $words]);
-            const ONES: Self = Self([u64::MAX; $words]);
-
-            #[inline]
-            fn word(&self, i: usize) -> u64 {
-                self.0[i]
-            }
-
-            #[inline]
-            fn set_word(&mut self, i: usize, w: u64) {
-                self.0[i] = w;
-            }
-
-            #[inline]
-            fn is_zero(&self) -> bool {
-                self.0 == [0; $words]
-            }
-
-            #[inline]
-            fn count_ones(&self) -> u32 {
-                self.0.iter().map(|w| w.count_ones()).sum()
-            }
-        }
-    };
-}
-
-lane_block_array!(
-    /// A 256-lane block: four packed words, the AVX2-register-sized engine
-    /// width.  256 fault scenarios (or trace cycles) per pass.
-    B256,
-    4
-);
-
-lane_block_array!(
-    /// A 512-lane block: eight packed words, the AVX-512-register-sized
-    /// engine width.  512 fault scenarios (or trace cycles) per pass.
-    B512,
-    8
-);
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn pattern<B: LaneBlock>(seed: u64) -> B {
-        let mut b = B::ZERO;
-        for i in 0..B::WORDS {
-            b.set_word(
-                i,
-                seed.wrapping_add(i as u64)
-                    .wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            );
-        }
-        b
-    }
-
-    fn ops_match_wordwise<B: LaneBlock>() {
-        let a = pattern::<B>(1);
-        let b = pattern::<B>(2);
-        for i in 0..B::WORDS {
-            assert_eq!((a & b).word(i), a.word(i) & b.word(i));
-            assert_eq!((a | b).word(i), a.word(i) | b.word(i));
-            assert_eq!((a ^ b).word(i), a.word(i) ^ b.word(i));
-            assert_eq!((!a).word(i), !a.word(i));
-        }
-        assert_eq!(
-            LaneBlock::count_ones(&a),
-            (0..B::WORDS).map(|i| a.word(i).count_ones()).sum::<u32>()
-        );
-        assert!(B::ZERO.is_zero());
-        assert!(!B::ONES.is_zero());
-        assert_eq!(B::splat(true), B::ONES);
-        assert_eq!(B::splat(false), B::ZERO);
-    }
-
-    fn lane_ops_roundtrip<B: LaneBlock>() {
-        let mut b = B::ZERO;
-        for lane in [0, 1, B::WIDTH / 2, B::WIDTH - 1] {
-            assert!(!b.lane(lane));
-            b.flip_lane(lane);
-            assert!(b.lane(lane));
-        }
-        let mut seen = Vec::new();
-        b.for_each_lane(|l| seen.push(l));
-        let mut expect: Vec<usize> = [0, 1, B::WIDTH / 2, B::WIDTH - 1].into();
-        expect.dedup();
-        assert_eq!(seen, expect);
-        for lane in [0, 1, B::WIDTH / 2, B::WIDTH - 1] {
-            if b.lane(lane) {
-                b.flip_lane(lane);
-            }
-        }
-        assert!(b.is_zero());
-    }
-
-    fn low_lanes_counts<B: LaneBlock>() {
-        for n in [0usize, 1, 63, 64, 65, B::WIDTH - 1, B::WIDTH]
-            .into_iter()
-            .filter(|&n| n <= B::WIDTH)
-        {
-            let m = B::low_lanes(n);
-            assert_eq!(LaneBlock::count_ones(&m) as usize, n, "low_lanes({n})");
-            for lane in 0..B::WIDTH {
-                assert_eq!(m.lane(lane), lane < n, "low_lanes({n}) lane {lane}");
-            }
-        }
-    }
-
     #[test]
-    fn u64_block_semantics() {
-        ops_match_wordwise::<u64>();
-        lane_ops_roundtrip::<u64>();
-        low_lanes_counts::<u64>();
-        assert_eq!(<u64 as LaneBlock>::WIDTH, 64);
+    fn low_lanes_counts() {
+        for n in [0usize, 1, 17, 63, 64] {
+            let m = low_lanes(n);
+            assert_eq!(m.count_ones() as usize, n, "low_lanes({n})");
+            for lane in 0..WORD_LANES {
+                assert_eq!(m >> lane & 1 != 0, lane < n, "low_lanes({n}) lane {lane}");
+            }
+        }
         assert_eq!(WORD_LANES, 64);
     }
 
     #[test]
-    fn b256_block_semantics() {
-        ops_match_wordwise::<B256>();
-        lane_ops_roundtrip::<B256>();
-        low_lanes_counts::<B256>();
-        assert_eq!(B256::WIDTH, 256);
-        assert_eq!(B256::WORDS, 4);
+    fn for_each_lane_walks_set_lanes_in_order() {
+        let mut seen = Vec::new();
+        for_each_lane(1 | 1 << 2 | 1 << 32 | 1 << 63, |l| seen.push(l));
+        assert_eq!(seen, [0, 2, 32, 63]);
+        for_each_lane(0, |_| panic!("no lanes set"));
     }
 
     #[test]
-    fn b512_block_semantics() {
-        ops_match_wordwise::<B512>();
-        lane_ops_roundtrip::<B512>();
-        low_lanes_counts::<B512>();
-        assert_eq!(B512::WIDTH, 512);
-        assert_eq!(B512::WORDS, 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds block width")]
+    #[should_panic(expected = "exceeds word width")]
     fn low_lanes_overflow_panics() {
-        let _ = B256::low_lanes(257);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn lane_out_of_range_panics() {
-        let _ = B256::ZERO.lane(256);
+        let _ = low_lanes(65);
     }
 }

@@ -1,4 +1,3 @@
-#![cfg_attr(feature = "simd", feature(portable_simd))]
 //! Gate-level netlist infrastructure for fault-space pruning.
 //!
 //! This crate provides the substrate the DAC'18 *fault-masking term* (MATE)
@@ -13,9 +12,9 @@
 //!   Library used by the paper (NAND/NOR/AOI/OAI/MUX/XOR/majority/DFF).
 //! * [`netlist`] — the flat gate-level netlist: nets, cells, ports.
 //! * [`graph`] — levelization, fan-out indices, and fault-cone extraction.
-//! * [`lanes`] — the [`lanes::LaneBlock`] lane-container abstraction behind
-//!   the 64/256/512-lane bit-parallel engines (with an optional `simd`
-//!   feature routing the wide blocks through `std::simd`).
+//! * [`lanes`] — the `u64` bit-lane helpers ([`WORD_LANES`],
+//!   [`lanes::low_lanes`], [`lanes::for_each_lane`]) of the 64-lane
+//!   bit-parallel engines.
 //! * [`soa`] — the compile-once structure-of-arrays evaluation arena
 //!   ([`soa::SoaNetlist`]): levelized per-cell-type runs over flat CSR pin
 //!   arrays, the layout all hot kernels stream.
@@ -63,7 +62,7 @@ pub use cube::NetCube;
 pub use error::MateError;
 pub use graph::{ConeEndpoint, ConeReaders, FaultCone, Topology};
 pub use ids::{CellId, CellTypeId, NetId};
-pub use lanes::{LaneBlock, B256, B512, WORD_LANES};
+pub use lanes::WORD_LANES;
 pub use library::{CellFn, CellType, Library};
 pub use logic::{masking_cubes, PinCube, TruthTable};
 pub use netlist::{Cell, Net, NetDriver, Netlist, NetlistError};
@@ -78,7 +77,7 @@ pub mod prelude {
     pub use crate::error::MateError;
     pub use crate::graph::{ConeEndpoint, ConeReaders, FaultCone, Topology};
     pub use crate::ids::{CellId, CellTypeId, NetId};
-    pub use crate::lanes::{LaneBlock, B256, B512, WORD_LANES};
+    pub use crate::lanes::WORD_LANES;
     pub use crate::library::{CellFn, CellType, Library};
     pub use crate::logic::{masking_cubes, PinCube, TruthTable};
     pub use crate::netlist::{Cell, Net, NetDriver, Netlist, NetlistError};

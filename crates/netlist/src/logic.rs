@@ -244,25 +244,11 @@ impl TruthTable {
     /// # Panics
     ///
     /// Panics if `rows.len()` differs from [`TruthTable::inputs`].
+    // The simulators call this once per row per settle from another crate;
+    // without `#[inline]` that is an out-of-line call in their hottest loop.
+    #[inline]
     pub fn eval_wide(&self, rows: &[u64]) -> u64 {
-        self.eval_blocks(rows)
-    }
-
-    /// Evaluates the function on [`LaneBlock::WIDTH`] packed input
-    /// assignments at once — the lane-width-generic form of
-    /// [`TruthTable::eval_wide`].
-    ///
-    /// Lane `l` of `rows[pin]` carries the value of input `pin` in scenario
-    /// `l`; lane `l` of the returned block carries the corresponding output.
-    /// The function is expanded as a sum of minterms over whichever polarity
-    /// of the table has fewer rows (complementing at the end when the
-    /// off-set was used), so common cells cost only a handful of block ops.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows.len()` differs from [`TruthTable::inputs`].
-    pub fn eval_blocks<B: crate::lanes::LaneBlock>(&self, rows: &[B]) -> B {
-        assert_eq!(rows.len(), self.inputs(), "one packed block per input pin");
+        assert_eq!(rows.len(), self.inputs(), "one packed word per input pin");
         let num_rows = 1usize << self.inputs;
         let ones = self.bits.count_ones() as usize;
         let (mut remaining, invert) = if ones * 2 <= num_rows {
@@ -270,13 +256,13 @@ impl TruthTable {
         } else {
             (!self.bits & Self::row_mask(self.inputs()), true)
         };
-        let mut acc = B::ZERO;
+        let mut acc = 0u64;
         while remaining != 0 {
             let row = remaining.trailing_zeros() as usize;
             remaining &= remaining - 1;
-            let mut term = B::ONES;
-            for (pin, &block) in rows.iter().enumerate() {
-                term &= if row & (1 << pin) != 0 { block } else { !block };
+            let mut term = u64::MAX;
+            for (pin, &word) in rows.iter().enumerate() {
+                term &= if row & (1 << pin) != 0 { word } else { !word };
             }
             acc |= term;
         }

@@ -26,9 +26,9 @@
 //!   pointer graph.
 //!
 //! All state indices are plain `u32` net indices into whatever per-net value
-//! array the consumer keeps (`Vec<B>` for a [`LaneBlock`](crate::LaneBlock)
-//! engine, packed bits for the scalar reference) — the arena itself holds no
-//! values, so one arena serves any lane width.
+//! array the consumer keeps (`Vec<u64>` for a 64-lane engine, packed bits
+//! for the scalar reference) — the arena itself holds no values, so one
+//! arena serves every engine.
 
 use std::ops::Range;
 
@@ -680,7 +680,7 @@ impl SoaNetlist {
 
     /// Scalar settle over the arena: reads and writes per-net `bool` values
     /// in place, sweeping the levelized schedule once.  This is the
-    /// reference the block engines are checked against, and doubles as the
+    /// reference the packed engines are checked against, and doubles as the
     /// simplest demonstration of the schedule contract.
     ///
     /// # Panics

@@ -856,10 +856,10 @@ impl Stage<&Design> for Campaign {
             None => h.bool(false),
         }
         h.u64(self.config.seed);
-        // `threads`, `lanes`, `engine`, and `pruning` excluded: records are
-        // bit-identical for every thread count, lane width, batched engine,
-        // and pruning mode (enforced by the campaign proptests and the
-        // pruning equivalence gate), so none of them may split the cache —
+        // `threads`, `engine`, and `pruning` excluded: records are
+        // bit-identical for every thread count, batched engine, and pruning
+        // mode (enforced by the campaign proptests and the pruning
+        // equivalence gate), so none of them may split the cache —
         // an artifact computed without collapsing must hit for a collapsed
         // configuration and vice versa.
         match &self.wires {

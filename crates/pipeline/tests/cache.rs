@@ -164,20 +164,19 @@ fn changed_search_config_misses_while_the_prefix_hits() {
 }
 
 /// Plants a campaign artifact under one engine configuration and proves a
-/// maximally different engine configuration — pruning mode, engine, lane
-/// width, thread count all changed — still hits it.  Collapsing is an
+/// maximally different engine configuration — pruning mode, engine and
+/// thread count all changed — still hits it.  Collapsing is an
 /// invisible optimization: records are bit-identical for every mode, so
 /// pre-existing artifacts must keep serving after the collapsing layer
 /// landed.
 #[test]
 fn pruning_and_engine_config_never_split_the_campaign_cache() {
-    use mate_hafi::{CampaignEngine, CampaignPruning, LaneWidth};
+    use mate_hafi::{CampaignEngine, CampaignPruning};
 
     let scratch = Scratch::new("pruning-hit");
     let planted_config = CampaignConfig {
         cycles: 12,
         threads: 1,
-        lanes: LaneWidth::W64,
         engine: CampaignEngine::FullSettle,
         pruning: CampaignPruning::Off,
         ..CampaignConfig::default()
@@ -197,12 +196,11 @@ fn pruning_and_engine_config_never_split_the_campaign_cache() {
         "computed campaign stage should carry collapsing stats: {summary}"
     );
 
-    // Probe: collapsing on, auto engine, wide lanes, threaded — must hit
-    // the planted artifact byte-for-byte.
+    // Probe: collapsing on, auto engine, threaded — must hit the planted
+    // artifact byte-for-byte.
     let probe_config = CampaignConfig {
         cycles: 12,
         threads: 3,
-        lanes: LaneWidth::W512,
         engine: CampaignEngine::Auto,
         pruning: CampaignPruning::Collapse,
         ..CampaignConfig::default()
@@ -213,7 +211,7 @@ fn pruning_and_engine_config_never_split_the_campaign_cache() {
     let record = summary.records.last().unwrap();
     assert!(
         record.cached,
-        "pruning/engine/lanes/threads must not split the cache: {summary}"
+        "pruning/engine/threads must not split the cache: {summary}"
     );
     assert_eq!(probe.key, planted.key);
     assert_eq!(probe.value.records, planted.value.records);

@@ -13,16 +13,15 @@
 //! * [`vcd`] — VCD writer and reader, round-trip compatible.
 //! * [`testbench`] — drives a netlist with input stimuli and external
 //!   devices (instruction/data memories) and records traces.
-//! * [`wide`] — a block-lane bit-parallel engine over the compile-once
-//!   [`mate_netlist::SoaNetlist`] arena: one [`mate_netlist::LaneBlock`]
-//!   per net carries 64/256/512 independent fault scenarios, the substrate
-//!   of batched campaigns.
+//! * [`wide`] — a 64-lane bit-parallel engine over the compile-once
+//!   [`mate_netlist::SoaNetlist`] arena: one `u64` word per net carries 64
+//!   independent fault scenarios, the substrate of batched campaigns.
 //! * [`transposed`] — column-major bit-plane traces
 //!   ([`transposed::TransposedTrace`]): one packed word covers 64 cycles of
 //!   one net, so trace analyses (MATE evaluation, coverage ranking) run
 //!   word-parallel on the cycle axis.
 //! * [`delta`] — an event-driven differential engine
-//!   ([`delta::DeltaSimulator`]): lane blocks carry XOR-deltas against the
+//!   ([`delta::DeltaSimulator`]): lane words carry XOR-deltas against the
 //!   golden trace and only the dirty fan-out frontier is re-evaluated each
 //!   cycle, so campaign work scales with fault-cone activity instead of
 //!   netlist size.
@@ -62,4 +61,4 @@ pub use testbench::{InputWave, SnapshotDevice, Testbench, TestbenchCheckpoint};
 pub use trace::WaveTrace;
 pub use transposed::{CycleView, TransposedTrace};
 pub use vcd::{read_vcd, write_vcd};
-pub use wide::{BlockSimulator, WideSimulator};
+pub use wide::WideSimulator;

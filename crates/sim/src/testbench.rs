@@ -4,7 +4,7 @@ use mate_netlist::prelude::*;
 
 use crate::engine::{SimCheckpoint, Simulator};
 use crate::trace::WaveTrace;
-use crate::wide::{BlockSimulator, WideSimulator};
+use crate::wide::WideSimulator;
 
 /// A per-cycle stimulus for one primary input.
 pub struct InputWave {
@@ -287,21 +287,6 @@ impl<'n> Testbench<'n> {
     /// Panics unless [`Testbench::pure_stimuli`] holds — impure waves cannot
     /// be sampled at arbitrary cycles.
     pub fn apply_stimuli_wide(&mut self, wide: &mut WideSimulator<'n>, cycle: u64) {
-        self.apply_stimuli_block(wide, cycle);
-    }
-
-    /// Broadcasts this testbench's stimuli for `cycle` to every lane of a
-    /// block simulator of any lane width.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless [`Testbench::pure_stimuli`] holds — impure waves cannot
-    /// be sampled at arbitrary cycles.
-    pub fn apply_stimuli_block<B: LaneBlock>(
-        &mut self,
-        wide: &mut BlockSimulator<'n, B>,
-        cycle: u64,
-    ) {
         assert!(self.pure_stimuli(), "wide stimuli require pure waves");
         for (net, wave) in &mut self.stimuli {
             wide.set_input(*net, wave.sample(cycle));

@@ -13,6 +13,7 @@
 //! cube_word`]) — the same transposition trick bit-parallel fault
 //! simulators apply on the stimulus axis, applied to the analysis axis.
 
+use mate_netlist::lanes::low_lanes;
 use mate_netlist::prelude::*;
 
 use crate::engine::Simulator;
@@ -192,12 +193,7 @@ impl TransposedTrace {
     #[inline]
     pub fn valid_mask(&self, word: usize) -> u64 {
         assert!(word < self.num_words(), "column word {word} beyond trace");
-        let tail = self.cycles - word * WORD_LANES;
-        if tail >= WORD_LANES {
-            u64::MAX
-        } else {
-            (1u64 << tail) - 1
-        }
+        low_lanes((self.cycles - word * WORD_LANES).min(WORD_LANES))
     }
 
     /// The bit-plane of one net: bit `c % 64` of word `c / 64` is the value
@@ -248,69 +244,6 @@ impl TransposedTrace {
             let i = net.index();
             assert!(i < self.num_nets, "net {net} beyond trace");
             let w = self.data[i * self.words_per_net + word];
-            acc &= if polarity { w } else { !w };
-        }
-        acc
-    }
-
-    /// Number of valid [`LaneBlock`]-width blocks per column: block `b`
-    /// covers cycles `b * B::WIDTH .. (b + 1) * B::WIDTH`.
-    pub fn num_blocks<B: LaneBlock>(&self) -> usize {
-        self.cycles.div_ceil(B::WIDTH)
-    }
-
-    /// All-ones over the cycles that exist in column block `block` — the
-    /// block-width generalization of [`TransposedTrace::valid_mask`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block` is out of range.
-    #[inline]
-    pub fn valid_block<B: LaneBlock>(&self, block: usize) -> B {
-        assert!(
-            block < self.num_blocks::<B>(),
-            "column block {block} beyond trace"
-        );
-        B::low_lanes((self.cycles - block * B::WIDTH).min(B::WIDTH))
-    }
-
-    /// Gathers one [`LaneBlock`] of a net's column (lane `c` of the result
-    /// is cycle `block * B::WIDTH + c`); cycles beyond the trace are zero.
-    #[inline]
-    fn column_block<B: LaneBlock>(&self, net_index: usize, block: usize) -> B {
-        let base = net_index * self.words_per_net + block * B::WORDS;
-        let avail = self
-            .num_words()
-            .saturating_sub(block * B::WORDS)
-            .min(B::WORDS);
-        let mut b = B::ZERO;
-        for w in 0..avail {
-            b.set_word(w, self.data[base + w]);
-        }
-        b
-    }
-
-    /// Evaluates a cube over [`LaneBlock::WIDTH`] cycles at once: lane `c`
-    /// of the result is the cube's value in cycle `block * B::WIDTH + c`.
-    /// The empty cube yields the valid-cycle mask.  This is the
-    /// block-width generalization of [`TransposedTrace::cube_word`]: one
-    /// AND (positive literal) or ANDN (negative literal) per literal, over
-    /// `B::WORDS` words at a time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block` is out of range or the cube mentions a net beyond
-    /// the trace.
-    #[inline]
-    pub fn cube_block<B: LaneBlock>(&self, cube: &NetCube, block: usize) -> B {
-        let mut acc: B = self.valid_block(block);
-        for (net, polarity) in cube.literals() {
-            if acc.is_zero() {
-                break;
-            }
-            let i = net.index();
-            assert!(i < self.num_nets, "net {net} beyond trace");
-            let w = self.column_block::<B>(i, block);
             acc &= if polarity { w } else { !w };
         }
         acc
@@ -623,75 +556,33 @@ mod tests {
 
     #[test]
     fn cube_word_is_and_over_literals() {
-        let rows = random_trace(10, 100, 99);
-        let cols = TransposedTrace::from_trace(&rows);
-        let cube = NetCube::from_literals([(net(2), true), (net(7), false)]).unwrap();
-        for wi in 0..cols.num_words() {
-            let word = cols.cube_word(&cube, wi);
-            for b in 0..64 {
-                let c = wi * 64 + b;
-                let expect = c < 100 && rows.value(c, net(2)) && !rows.value(c, net(7));
-                assert_eq!(word >> b & 1 != 0, expect, "cycle {c}");
-            }
-        }
-        // The empty cube is true exactly in the valid cycles.
-        let last = cols.num_words() - 1;
-        assert_eq!(cols.cube_word(&NetCube::top(), last), cols.valid_mask(last));
-    }
-
-    #[test]
-    fn cube_block_matches_cube_word() {
-        // Block-width cube evaluation agrees with the 64-lane reference,
-        // including partial tail blocks and cubes with negative literals.
-        fn check<B: LaneBlock>(cycles: usize) {
+        // Horizons on both sides of the word boundaries, so full, partial
+        // and single-cycle tail words are all checked.
+        for cycles in [1, 63, 64, 65, 100, 300] {
             let rows = random_trace(12, cycles, cycles as u64);
             let cols = TransposedTrace::from_trace(&rows);
             for cube in [
-                NetCube::top(),
                 NetCube::from_literals([(net(2), true), (net(7), false)]).unwrap(),
                 NetCube::from_literals([(net(0), false), (net(5), false), (net(11), true)])
                     .unwrap(),
             ] {
-                for blk in 0..cols.num_blocks::<B>() {
-                    let block: B = cols.cube_block(&cube, blk);
-                    for w in 0..B::WORDS {
-                        let wi = blk * B::WORDS + w;
-                        let expect = if wi < cols.num_words() {
-                            cols.cube_word(&cube, wi)
-                        } else {
-                            0
-                        };
-                        assert_eq!(
-                            block.word(w),
-                            expect,
-                            "cycles {cycles} block {blk} word {w}"
-                        );
+                for wi in 0..cols.num_words() {
+                    let word = cols.cube_word(&cube, wi);
+                    for b in 0..64 {
+                        let c = wi * 64 + b;
+                        let expect = c < cycles && cube.eval(rows.cycle_reader(c));
+                        assert_eq!(word >> b & 1 != 0, expect, "{cycles} cycles, cycle {c}");
                     }
                 }
             }
-        }
-        for cycles in [1, 63, 64, 65, 255, 256, 300, 511, 512, 700] {
-            check::<B256>(cycles);
-            check::<B512>(cycles);
-            check::<u64>(cycles);
-        }
-    }
-
-    #[test]
-    fn valid_block_matches_valid_mask() {
-        let rows = random_trace(3, 130, 5);
-        let cols = TransposedTrace::from_trace(&rows);
-        for blk in 0..cols.num_blocks::<B256>() {
-            let vb: B256 = cols.valid_block(blk);
-            for w in 0..B256::WORDS {
-                let wi = blk * B256::WORDS + w;
-                let expect = if wi < cols.num_words() {
-                    cols.valid_mask(wi)
-                } else {
-                    0
-                };
-                assert_eq!(vb.word(w), expect, "block {blk} word {w}");
-            }
+            // The empty cube is true exactly in the valid cycles.
+            let last = cols.num_words() - 1;
+            assert_eq!(cols.cube_word(&NetCube::top(), last), cols.valid_mask(last));
+            assert_eq!(
+                cols.valid_mask(last).count_ones() as usize,
+                cycles - last * 64,
+                "{cycles} cycles"
+            );
         }
     }
 

@@ -1,22 +1,19 @@
-//! Bit-parallel block-lane simulation over the SoA arena.
+//! Bit-parallel 64-lane simulation over the SoA arena.
 //!
-//! A [`BlockSimulator`] holds one [`LaneBlock`] per net: bit lane `l` is the
-//! value of that net in scenario `l`, so [`LaneBlock::WIDTH`] independent
-//! fault scenarios advance in lock-step through each combinational settle
-//! and clock tick.  This is the classic word-level trick of
-//! parallel-pattern fault simulators, applied to SEU campaigns: seed all
-//! lanes from the golden run at the injection cycle, flip one flip-flop per
-//! lane, and compare every lane against the golden trace with plain XOR
-//! blocks.  [`WideSimulator`] is the historical 64-lane (`u64`)
-//! instantiation; [`B256`](mate_netlist::B256) and
-//! [`B512`](mate_netlist::B512) run 256 and 512 scenarios per pass.
+//! A [`WideSimulator`] holds one `u64` word per net: bit lane `l` is the
+//! value of that net in scenario `l`, so 64 independent fault scenarios
+//! advance in lock-step through each combinational settle and clock tick.
+//! This is the classic word-level trick of parallel-pattern fault
+//! simulators, applied to SEU campaigns: seed all lanes from the golden run
+//! at the injection cycle, flip one flip-flop per lane, and compare every
+//! lane against the golden trace with plain XOR words.
 //!
 //! The settle loop streams the compile-once [`SoaNetlist`] arena — levelized
 //! per-cell-type runs over flat CSR pin arrays — instead of chasing the
 //! pointer-rich netlist graph cell by cell; the schedule is topologically
 //! equivalent, so the engine mirrors [`Simulator`](crate::Simulator)
 //! semantics exactly (same two-phase latch, settle-order-independent fixed
-//! point).  Lane `l` of a block run is cycle-for-cycle identical to a scalar
+//! point).  Lane `l` of a wide run is cycle-for-cycle identical to a scalar
 //! run with the same initial state, stimuli, and flip.
 
 use std::borrow::Cow;
@@ -25,44 +22,37 @@ use mate_netlist::prelude::*;
 
 use crate::trace::WaveTrace;
 
-/// A block-lane bit-parallel simulator for a validated netlist, generic
-/// over the lane container `B` (`u64` = 64 lanes, [`B256`] = 256,
-/// [`B512`] = 512).
+/// A 64-lane bit-parallel simulator for a validated netlist.
 ///
 /// Lanes share primary-input values (campaign stimuli are common to all
-/// scenarios); they diverge only through [`BlockSimulator::flip_ff`] and
+/// scenarios); they diverge only through [`WideSimulator::flip_ff`] and
 /// the propagation that follows.
 #[derive(Clone, Debug)]
-pub struct BlockSimulator<'n, B: LaneBlock = u64> {
+pub struct WideSimulator<'n> {
     netlist: &'n Netlist,
     topo: &'n Topology,
     /// The flattened evaluation schedule (owned by default; share one arena
-    /// across simulators with [`BlockSimulator::with_arena`]).
+    /// across simulators with [`WideSimulator::with_arena`]).
     soa: Cow<'n, SoaNetlist>,
-    /// One packed block per net; lane `l` is the net's value in scenario `l`.
-    values: Vec<B>,
+    /// One packed word per net; lane `l` is the net's value in scenario `l`.
+    values: Vec<u64>,
     settled: bool,
     cycle: u64,
     /// Reusable input-pin buffer for the settle loop.
-    row_buf: [B; TruthTable::MAX_INPUTS],
+    row_buf: [u64; TruthTable::MAX_INPUTS],
     /// Reusable latch buffer for the tick loop.
-    latch_scratch: Vec<B>,
+    latch_scratch: Vec<u64>,
 }
 
-/// The 64-lane `u64` instantiation of [`BlockSimulator`] — the baseline
-/// engine all wider blocks are checked against.
-pub type WideSimulator<'n> = BlockSimulator<'n, u64>;
-
-impl<'n, B: LaneBlock> BlockSimulator<'n, B> {
-    /// Creates a block simulator with every net at `0` in all lanes,
+impl<'n> WideSimulator<'n> {
+    /// Creates a wide simulator with every net at `0` in all lanes,
     /// flattening the netlist into its own [`SoaNetlist`] arena.
     pub fn new(netlist: &'n Netlist, topo: &'n Topology) -> Self {
         Self::from_cow(netlist, topo, Cow::Owned(SoaNetlist::build(netlist, topo)))
     }
 
-    /// Creates a block simulator sharing a prebuilt arena (the compile-once
-    /// path: one [`SoaNetlist::build`] serves any number of simulators and
-    /// lane widths).
+    /// Creates a wide simulator sharing a prebuilt arena (the compile-once
+    /// path: one [`SoaNetlist::build`] serves any number of simulators).
     ///
     /// # Panics
     ///
@@ -85,11 +75,11 @@ impl<'n, B: LaneBlock> BlockSimulator<'n, B> {
         Self {
             netlist,
             topo,
-            values: vec![B::ZERO; netlist.num_nets()],
+            values: vec![0; netlist.num_nets()],
             soa,
             settled: false,
             cycle: 0,
-            row_buf: [B::ZERO; TruthTable::MAX_INPUTS],
+            row_buf: [0; TruthTable::MAX_INPUTS],
             latch_scratch: Vec::with_capacity(topo.seq_cells().len()),
         }
     }
@@ -136,7 +126,7 @@ impl<'n, B: LaneBlock> BlockSimulator<'n, B> {
         for (i, value) in self.values.iter_mut().enumerate() {
             let bit = words[i / WORD_LANES] >> (i % WORD_LANES) & 1;
             // Broadcast: all-ones when the golden bit is set, zero otherwise.
-            *value = B::splat(bit != 0);
+            *value = bit.wrapping_neg();
         }
         self.settled = true;
         self.cycle = cycle as u64;
@@ -154,9 +144,9 @@ impl<'n, B: LaneBlock> BlockSimulator<'n, B> {
             "{} is not a primary input",
             self.netlist.net(net).name()
         );
-        let block = B::splat(value);
-        if self.values[net.index()] != block {
-            self.values[net.index()] = block;
+        let word = u64::from(value).wrapping_neg();
+        if self.values[net.index()] != word {
+            self.values[net.index()] = word;
             self.settled = false;
         }
     }
@@ -176,14 +166,15 @@ impl<'n, B: LaneBlock> BlockSimulator<'n, B> {
                 for (slot, &net) in self.row_buf.iter_mut().zip(soa.row_pins(row)) {
                     *slot = self.values[net as usize];
                 }
-                self.values[soa.row_out(row) as usize] = tt.eval_blocks(&self.row_buf[..arity]);
+                self.values[soa.row_out(row) as usize] = tt.eval_wide(&self.row_buf[..arity]);
             }
         }
         self.settled = true;
     }
 
-    /// The settled packed value block of a net (lane `l` = scenario `l`).
-    pub fn value_block(&mut self, net: NetId) -> B {
+    /// The settled packed value word of a net (bit `l` = lane `l`).
+    #[inline]
+    pub fn value_word(&mut self, net: NetId) -> u64 {
         self.settle();
         self.values[net.index()]
     }
@@ -198,9 +189,9 @@ impl<'n, B: LaneBlock> BlockSimulator<'n, B> {
         next.clear();
         let soa = self.soa.as_ref();
         next.extend(soa.ff_d().iter().map(|&d| self.values[d as usize]));
-        for (&q, &block) in soa.ff_q().iter().zip(&next) {
-            if self.values[q as usize] != block {
-                self.values[q as usize] = block;
+        for (&q, &word) in soa.ff_q().iter().zip(&next) {
+            if self.values[q as usize] != word {
+                self.values[q as usize] = word;
                 self.settled = false;
             }
         }
@@ -213,26 +204,17 @@ impl<'n, B: LaneBlock> BlockSimulator<'n, B> {
     ///
     /// # Panics
     ///
-    /// Panics if `ff` is not a sequential cell or `lane >= B::WIDTH`.
+    /// Panics if `ff` is not a sequential cell or `lane >= WORD_LANES`.
     pub fn flip_ff(&mut self, ff: CellId, lane: usize) {
         assert!(
             self.netlist.is_seq_cell(ff),
             "cell {} is not a flip-flop",
             self.netlist.cell(ff).name()
         );
-        assert!(lane < B::WIDTH, "lane {lane} out of range");
+        assert!(lane < WORD_LANES, "lane {lane} out of range");
         let q = self.netlist.cell(ff).output();
-        self.values[q.index()].flip_lane(lane);
+        self.values[q.index()] ^= 1u64 << lane;
         self.settled = false;
-    }
-}
-
-impl WideSimulator<'_> {
-    /// The settled packed value word of a net (bit `l` = lane `l`) — the
-    /// historical name of [`BlockSimulator::value_block`] on the 64-lane
-    /// engine.
-    pub fn value_word(&mut self, net: NetId) -> u64 {
-        self.value_block(net)
     }
 }
 
@@ -257,56 +239,25 @@ mod tests {
         }
 
         // Seed wide at cycle 2 and advance in lock-step; with no flips all
-        // lanes must reproduce the golden values exactly.
-        let mut wide = WideSimulator::new(&n, &topo);
-        wide.load_from_trace(&trace, 2);
-        for cycle in 2..6 {
-            wide.set_input(en, true);
-            wide.settle();
-            for i in 0..n.num_nets() {
-                let net = NetId::from_index(i);
-                let expect = if trace.value(cycle, net) { u64::MAX } else { 0 };
-                assert_eq!(wide.value_word(net), expect, "net {net} cycle {cycle}");
-            }
-            wide.tick();
-        }
-    }
-
-    #[test]
-    fn wide_blocks_match_scalar_run() {
-        // The 256- and 512-lane engines broadcast-settle identically to the
-        // scalar reference, including across a shared prebuilt arena.
-        fn check<B: LaneBlock>(use_shared_arena: bool) {
-            let (n, topo) = counter(4);
-            let en = n.find_net("en").unwrap();
-            let mut sim = Simulator::new(&n, &topo);
-            sim.set_input(en, true);
-            let mut trace = WaveTrace::new(n.num_nets());
-            for _ in 0..6 {
-                trace.capture(&mut sim);
-                sim.tick();
-            }
-            let arena = SoaNetlist::build(&n, &topo);
-            let mut wide: BlockSimulator<'_, B> = if use_shared_arena {
-                BlockSimulator::with_arena(&n, &topo, &arena)
-            } else {
-                BlockSimulator::new(&n, &topo)
-            };
-            wide.load_from_trace(&trace, 1);
-            for cycle in 1..6 {
+        // lanes must reproduce the golden values exactly, with an owned or
+        // a shared prebuilt arena.
+        let arena = SoaNetlist::build(&n, &topo);
+        for mut wide in [
+            WideSimulator::new(&n, &topo),
+            WideSimulator::with_arena(&n, &topo, &arena),
+        ] {
+            wide.load_from_trace(&trace, 2);
+            for cycle in 2..6 {
                 wide.set_input(en, true);
+                wide.settle();
                 for i in 0..n.num_nets() {
                     let net = NetId::from_index(i);
-                    let expect = B::splat(trace.value(cycle, net));
-                    assert_eq!(wide.value_block(net), expect, "net {net} cycle {cycle}");
+                    let expect = if trace.value(cycle, net) { u64::MAX } else { 0 };
+                    assert_eq!(wide.value_word(net), expect, "net {net} cycle {cycle}");
                 }
                 wide.tick();
             }
         }
-        check::<B256>(false);
-        check::<B256>(true);
-        check::<B512>(false);
-        check::<B512>(true);
     }
 
     #[test]
@@ -333,33 +284,6 @@ mod tests {
         // The TMR vote masks the flip in every lane.
         let vote = n.find_net("vote").unwrap();
         assert_eq!(wide.value_word(vote), u64::MAX);
-    }
-
-    #[test]
-    fn block_flip_affects_only_its_lane() {
-        let (n, topo) = tmr_register();
-        let load = n.find_net("load").unwrap();
-        let din = n.find_net("din").unwrap();
-        let mut sim = Simulator::new(&n, &topo);
-        sim.set_input(load, true);
-        sim.set_input(din, true);
-        sim.tick();
-        sim.set_input(load, false);
-        let mut trace = WaveTrace::new(n.num_nets());
-        trace.capture(&mut sim);
-        let mut wide: BlockSimulator<'_, B512> = BlockSimulator::new(&n, &topo);
-        wide.load_from_trace(&trace, 0);
-        let ff0 = topo.seq_cells()[0];
-        // A lane beyond the old 64-lane range.
-        wide.flip_ff(ff0, 300);
-        let r0 = n.cell(ff0).output();
-        let block = wide.value_block(r0);
-        let mut expect = B512::ONES;
-        expect.flip_lane(300);
-        assert_eq!(block, expect);
-        // The TMR vote masks the flip in every lane.
-        let vote = n.find_net("vote").unwrap();
-        assert_eq!(wide.value_block(vote), B512::ONES);
     }
 
     #[test]
