@@ -1,25 +1,24 @@
 //! Campaign-engine throughput: scalar per-point `inject` vs. the batched
 //! 64-lane engines, in faults per second — for both the full-settle
-//! reference engine and the event-driven differential engine, each with
-//! fault-space collapsing off and on.
+//! reference engine and the event-driven differential engine.
 //!
-//! Four circuits: the paper's Figure-1b example, a random ≥200-FF netlist
+//! Five circuits: the paper's Figure-1b example, a random ≥200-FF netlist
 //! (the scale where bit-parallel packing pays off), a random ≥1000-FF
 //! netlist showing how the differential engine's advantage grows with
-//! netlist size, and a 64-slice TMR register bank under periodic stimuli —
-//! the masked-heavy workload where collapsing folds the fault space onto a
-//! few golden contexts.  Besides the criterion reporting, the bench emits a
-//! machine-readable `BENCH_campaign.json` at the workspace root with all
-//! numbers, the per-row speedups and collapsing stats, the engine the
-//! `auto` policy resolves to per circuit, and the host CPU count.
+//! netlist size, a 64-slice TMR register bank under periodic stimuli — the
+//! masked-heavy workload where every upset is voted away within one cycle —
+//! and the ingested `uart_tx` core.  Besides the criterion reporting, the
+//! bench emits a machine-readable `BENCH_campaign.json` at the workspace
+//! root with all numbers, the per-row speedups, the engine the `auto`
+//! policy resolves to per circuit, and the host CPU count.
 
 use std::time::Instant;
 
 use criterion::{is_quick_test, Criterion, Throughput};
 
 use mate_hafi::{
-    run_campaign, run_campaign_wide, CampaignConfig, CampaignEngine, CampaignPruning,
-    DesignHarness, FaultSpace, PruningStats, StimulusHarness,
+    run_campaign, run_campaign_wide, CampaignConfig, CampaignEngine, DesignHarness, FaultSpace,
+    StimulusHarness,
 };
 use mate_netlist::examples::{figure1b, tmr_bank};
 use mate_netlist::random::{random_circuit, RandomCircuitConfig};
@@ -43,12 +42,10 @@ fn drive_all_inputs(mut harness: StimulusHarness, seed: u64, cycles: usize) -> S
     harness
 }
 
-/// One measured `(engine, pruning)` configuration.
+/// One measured engine.
 struct Row {
     engine: CampaignEngine,
-    pruning: CampaignPruning,
     fps: f64,
-    stats: PruningStats,
 }
 
 struct Measured {
@@ -63,18 +60,12 @@ struct Measured {
 }
 
 impl Measured {
-    /// The uncollapsed full-settle faults/second, the reference the
-    /// differential rows are compared against.
+    /// The full-settle faults/second, the reference the differential row
+    /// is compared against.
     fn full_settle_fps(&self) -> Option<f64> {
-        self.unpruned_fps(CampaignEngine::FullSettle)
-    }
-
-    /// The same engine with collapsing off — the reference a collapsed
-    /// row's `speedup_vs_unpruned` is computed against.
-    fn unpruned_fps(&self, engine: CampaignEngine) -> Option<f64> {
         self.rows
             .iter()
-            .find(|r| r.engine == engine && r.pruning == CampaignPruning::Off)
+            .find(|r| r.engine == CampaignEngine::FullSettle)
             .map(|r| r.fps)
     }
 }
@@ -98,27 +89,17 @@ fn measure(
 ) -> Measured {
     let space = FaultSpace::all_ffs(harness.netlist(), harness.topology(), config.cycles);
 
-    // Sanity: every engine and pruning mode must produce identical records
-    // before we compare their speed.  In quick mode (CI bench-smoke) this
-    // loop IS the test.
+    // Sanity: every engine must produce identical records before we
+    // compare their speed.  In quick mode (CI bench-smoke) this loop IS the
+    // test.
     let scalar = run_campaign(harness, &space, config).unwrap();
     for engine in CampaignEngine::all() {
-        for pruning in CampaignPruning::all() {
-            let wide = run_campaign_wide(
-                harness,
-                &space,
-                &CampaignConfig {
-                    engine,
-                    pruning,
-                    ..*config
-                },
-            )
-            .unwrap();
-            assert_eq!(
-                scalar.records, wide.records,
-                "{engine} {pruning} engine diverges on {name}"
-            );
-        }
+        let wide =
+            run_campaign_wide(harness, &space, &CampaignConfig { engine, ..*config }).unwrap();
+        assert_eq!(
+            scalar.records, wide.records,
+            "{engine} engine diverges on {name}"
+        );
     }
     let points = scalar.len();
 
@@ -129,16 +110,10 @@ fn measure(
         b.iter(|| run_campaign(harness, &space, config).unwrap())
     });
     for engine in CampaignEngine::all() {
-        for pruning in CampaignPruning::all() {
-            let cfg = CampaignConfig {
-                engine,
-                pruning,
-                ..*config
-            };
-            group.bench_function(&format!("{engine}/{pruning}"), |b| {
-                b.iter(|| run_campaign_wide(harness, &space, &cfg).unwrap())
-            });
-        }
+        let cfg = CampaignConfig { engine, ..*config };
+        group.bench_function(&format!("{engine}"), |b| {
+            b.iter(|| run_campaign_wide(harness, &space, &cfg).unwrap())
+        });
     }
     group.finish();
 
@@ -146,26 +121,16 @@ fn measure(
     let scalar_fps = faults_per_sec(reps, points, || {
         run_campaign(harness, &space, config).unwrap();
     });
-    let mut rows = Vec::new();
-    for engine in CampaignEngine::all() {
-        for pruning in CampaignPruning::all() {
-            let cfg = CampaignConfig {
-                engine,
-                pruning,
-                ..*config
-            };
-            let mut stats = PruningStats::default();
+    let rows = CampaignEngine::all()
+        .into_iter()
+        .map(|engine| {
+            let cfg = CampaignConfig { engine, ..*config };
             let fps = faults_per_sec(reps, points, || {
-                stats = run_campaign_wide(harness, &space, &cfg).unwrap().pruning;
+                run_campaign_wide(harness, &space, &cfg).unwrap();
             });
-            rows.push(Row {
-                engine,
-                pruning,
-                fps,
-                stats,
-            });
-        }
-    }
+            Row { engine, fps }
+        })
+        .collect();
     Measured {
         name,
         ffs: harness.topology().seq_cells().len(),
@@ -191,27 +156,10 @@ fn write_json(results: &[Measured]) {
                 let vs_full = m.full_settle_fps().map_or(String::new(), |reference| {
                     format!(", \"speedup_vs_full_settle\": {:.2}", r.fps / reference)
                 });
-                let collapse = if r.pruning == CampaignPruning::Collapse {
-                    let vs_unpruned = m.unpruned_fps(r.engine).map_or(String::new(), |reference| {
-                        format!("\"speedup_vs_unpruned\": {:.2}, ", r.fps / reference)
-                    });
-                    format!(
-                        ", {vs_unpruned}\"skip_rate\": {:.3}, \"classes\": {}, \
-                         \"probes\": {}, \"fallback\": {}, \"memo_hits\": {}",
-                        r.stats.skip_rate(),
-                        r.stats.classes,
-                        r.stats.probes,
-                        r.stats.fallback,
-                        r.stats.memo_hits
-                    )
-                } else {
-                    String::new()
-                };
                 format!(
-                    "{{\"engine\": \"{}\", \"pruning\": \"{}\", \
-                     \"faults_per_sec\": {:.1}, \"speedup_vs_scalar\": {:.2}{vs_full}{collapse}}}",
+                    "{{\"engine\": \"{}\", \"faults_per_sec\": {:.1}, \
+                     \"speedup_vs_scalar\": {:.2}{vs_full}}}",
                     r.engine,
-                    r.pruning,
                     r.fps,
                     r.fps / m.scalar_fps
                 )
@@ -320,18 +268,10 @@ fn main() {
 
     // A TMR register bank under periodic stimuli: 192 FFs whose upsets the
     // voters mask within one cycle, with fault cones confined to their own
-    // slice.  The periodic load/din pattern gives every flip-flop only a
-    // handful of distinct golden contexts across the whole trace, so
-    // fault-space collapsing classifies whole columns of the space from
-    // one representative probe each — the workload collapsing is for
-    // (shrunk in quick mode).
+    // slice — the masked-heavy workload the paper's pruning argument is
+    // about.  Sparse sampling (16 of 192 FFs per cycle on average), like
+    // the random workloads (shrunk in quick mode).
     {
-        // Sparse sampling (16 of 192 FFs per cycle on average), like the
-        // random workloads: this is the regime where collapsing pays —
-        // the unpruned engines get under-filled per-cycle lane batches,
-        // while the collapsed path probes each golden context once, at its
-        // first occurrence.  (Exhaustive spaces saturate the per-cycle
-        // batches and the unpruned engines are already near-optimal.)
         let (bits, cycles, sample) = if is_quick_test() {
             (8, 32, None)
         } else {
@@ -381,19 +321,9 @@ fn main() {
             let vs_full = m.full_settle_fps().map_or(String::new(), |x| {
                 format!(", {:.1}x vs full-settle", r.fps / x)
             });
-            let collapse = if r.pruning == CampaignPruning::Collapse {
-                let vs_unpruned = m.unpruned_fps(r.engine).map_or(0.0, |x| r.fps / x);
-                format!(
-                    ", {vs_unpruned:.1}x vs unpruned, {:.0}% skipped",
-                    r.stats.skip_rate() * 100.0
-                )
-            } else {
-                String::new()
-            };
             eprintln!(
-                "  {} {}: {:.0}/s ({:.1}x vs scalar{vs_full}{collapse})",
+                "  {}: {:.0}/s ({:.1}x vs scalar{vs_full})",
                 r.engine,
-                r.pruning,
                 r.fps,
                 r.fps / m.scalar_fps
             );

@@ -16,8 +16,7 @@ use mate::eval::{evaluate_scalar, evaluate_transposed};
 use mate::mates::{summarize, Mate, MateSet};
 use mate::select::{rank_eager, rank_transposed};
 use mate_hafi::{
-    run_campaign_wide, CampaignConfig, CampaignEngine, CampaignPruning, DesignHarness, FaultSpace,
-    StimulusHarness,
+    run_campaign_wide, CampaignConfig, CampaignEngine, DesignHarness, FaultSpace, StimulusHarness,
 };
 use mate_netlist::random::{random_circuit, RandomCircuitConfig};
 use mate_netlist::{NetCube, NetId};
@@ -198,7 +197,6 @@ fn measure_campaign(
         seed: 9,
         threads: 1,
         engine: CampaignEngine::default(),
-        pruning: CampaignPruning::default(),
     };
     let many = CampaignConfig { threads, ..one };
 

@@ -12,7 +12,6 @@ use mate_netlist::lanes::{for_each_lane, low_lanes};
 use mate_netlist::{MateError, NetId, Netlist, Topology, WORD_LANES};
 use mate_sim::{DeltaSimulator, TransposedTrace, WaveTrace, WideSimulator};
 
-use crate::collapse::{CampaignPruning, PruningStats};
 use crate::harness::DesignHarness;
 use crate::space::{FaultPoint, FaultSpace};
 
@@ -104,13 +103,7 @@ pub fn inject(
     golden: &GoldenRun,
     point: FaultPoint,
 ) -> Result<FaultEffect, MateError> {
-    let horizon = golden.trace.num_cycles();
-    if point.cycle >= horizon {
-        return Err(MateError::campaign(format!(
-            "injection cycle {} beyond golden trace of {horizon} cycles",
-            point.cycle
-        )));
-    }
+    check_horizon(golden, point.cycle)?;
     let mut tb = harness.testbench();
 
     // Advance fault-free to the injection cycle.
@@ -120,6 +113,17 @@ pub fn inject(
     // Flip the victim flip-flop; its faulty value is live during this cycle.
     tb.sim_mut().flip_ff(point.ff);
     Ok(classify(&mut tb, golden, point.cycle))
+}
+
+/// Rejects an injection cycle the golden trace cannot judge.
+fn check_horizon(golden: &GoldenRun, cycle: usize) -> Result<(), MateError> {
+    let horizon = golden.trace.num_cycles();
+    if cycle >= horizon {
+        return Err(MateError::campaign(format!(
+            "injection cycle {cycle} beyond golden trace of {horizon} cycles"
+        )));
+    }
+    Ok(())
 }
 
 /// Runs the remaining horizon and classifies the divergence from golden.
@@ -235,30 +239,17 @@ impl fmt::Display for CampaignEngine {
     }
 }
 
-/// Classifies a batch of fault points against `golden` with the default
-/// engine — see [`classify_points_engine`].
-///
-/// # Errors
-///
-/// Returns [`MateError::Campaign`] if any injection cycle lies beyond the
-/// golden trace.
-pub fn classify_points(
-    harness: &dyn DesignHarness,
-    golden: &GoldenRun,
-    points: &[FaultPoint],
-) -> Result<Vec<FaultEffect>, MateError> {
-    classify_points_engine(harness, golden, points, CampaignEngine::default())
-}
-
 /// Classifies a batch of fault points against `golden`, choosing the
 /// fastest sound path the harness supports:
 ///
 /// 1. **Wide** — no external devices and pure stimuli: up to 64 fault
 ///    points per injection cycle are packed into the lanes of a batched
 ///    engine seeded directly from the golden trace at the injection cycle,
-///    then classified in lock-step with per-lane early retirement.  `engine` picks between the event-driven
-///    [`CampaignEngine::Differential`] default and the full-settle
-///    [`CampaignEngine::FullSettle`] reference.
+///    then classified in lock-step with per-lane early retirement.
+///    `engine` picks between the event-driven
+///    [`CampaignEngine::Differential`] engine and the full-settle
+///    [`CampaignEngine::FullSettle`] reference; [`CampaignEngine::Auto`]
+///    resolves to one of them from the design.
 /// 2. **Checkpointed scalar** — all devices snapshotable and pure stimuli:
 ///    one incremental golden run captures a checkpoint at every injection
 ///    cycle; each faulty run is seeded by restore instead of replaying the
@@ -273,23 +264,23 @@ pub fn classify_points(
 ///
 /// Returns [`MateError::Campaign`] if any injection cycle lies beyond the
 /// golden trace.
-pub fn classify_points_engine(
+pub fn classify_points(
     harness: &dyn DesignHarness,
     golden: &GoldenRun,
     points: &[FaultPoint],
     engine: CampaignEngine,
 ) -> Result<Vec<FaultEffect>, MateError> {
-    let horizon = golden.trace.num_cycles();
-    if let Some(p) = points.iter().find(|p| p.cycle >= horizon) {
-        return Err(MateError::campaign(format!(
-            "injection cycle {} beyond golden trace of {horizon} cycles",
-            p.cycle
-        )));
+    for p in points {
+        check_horizon(golden, p.cycle)?;
     }
-    let engine = engine.resolve(harness.topology());
     let probe = harness.testbench();
     Ok(if probe.can_run_wide() {
-        classify_points_wide(harness, golden, points, engine)
+        match engine.resolve(harness.topology()) {
+            CampaignEngine::FullSettle => classify_points_full_settle(harness, golden, points),
+            CampaignEngine::Differential | CampaignEngine::Auto => {
+                classify_points_differential(harness, golden, points)
+            }
+        }
     } else if probe.can_checkpoint() {
         classify_points_checkpoint(harness, golden, points)
     } else {
@@ -301,77 +292,13 @@ pub fn classify_points_engine(
     })
 }
 
-/// Classifies a batch of fault points with optional fault-space collapsing
-/// (see [`crate::collapse`]): the full-featured entry behind
-/// [`run_campaign_wide`] and [`crate::validate_mates`].
-///
-/// With [`CampaignPruning::Collapse`] on a wide-capable harness, points are
-/// first grouped into temporal equivalence classes over golden-trace
-/// cone-support fingerprints and one representative per class is probed for
-/// one cycle; only what the probe window cannot decide is simulated in
-/// full.  The returned [`PruningStats`] account for the saved work.  Every
-/// pruning mode, engine, and thread count produces bit-identical
-/// [`FaultEffect`] classifications; checkpointed and scalar harnesses
-/// cannot collapse (their per-point state is opaque to the delta prober)
-/// and report unpruned stats.
-///
-/// # Errors
-///
-/// Returns [`MateError::Campaign`] if any injection cycle lies beyond the
-/// golden trace.
-pub fn classify_points_pruned(
-    harness: &dyn DesignHarness,
-    golden: &GoldenRun,
-    points: &[FaultPoint],
-    engine: CampaignEngine,
-    pruning: CampaignPruning,
-) -> Result<(Vec<FaultEffect>, PruningStats), MateError> {
-    let horizon = golden.trace.num_cycles();
-    if let Some(p) = points.iter().find(|p| p.cycle >= horizon) {
-        return Err(MateError::campaign(format!(
-            "injection cycle {} beyond golden trace of {horizon} cycles",
-            p.cycle
-        )));
-    }
-    if pruning == CampaignPruning::Collapse && harness.testbench().can_run_wide() {
-        let engine = engine.resolve(harness.topology());
-        Ok(crate::collapse::classify_points_collapse(
-            harness, golden, points, engine,
-        ))
-    } else {
-        let effects = classify_points_engine(harness, golden, points, engine)?;
-        let stats = PruningStats::unpruned(points.len());
-        Ok((effects, stats))
-    }
-}
-
-/// The wide path: dispatches a *resolved* engine
-/// ([`CampaignEngine::Auto`] defensively maps to differential).  Shared by
-/// [`classify_points_engine`] and the collapsing fallback.
-pub(crate) fn classify_points_wide(
-    harness: &dyn DesignHarness,
-    golden: &GoldenRun,
-    points: &[FaultPoint],
-    engine: CampaignEngine,
-) -> Vec<FaultEffect> {
-    match engine {
-        CampaignEngine::FullSettle => classify_points_full_settle(harness, golden, points),
-        CampaignEngine::Differential | CampaignEngine::Auto => {
-            classify_points_differential(harness, golden, points)
-        }
-    }
-}
-
 /// Per-net observation flags for the classification scans.  The bit
 /// positions match the accumulator indices of
 /// [`DeltaSimulator::scan_flagged`].
-pub(crate) const OBS_OUTPUT: u8 = 1;
-pub(crate) const OBS_STATE: u8 = 2;
-/// Flip-flop D-input nets: a nonzero delta here persists into the next
-/// cycle's state.  Used by the collapsing prober, not the retire loop.
-pub(crate) const OBS_NEXT: u8 = 4;
+const OBS_OUTPUT: u8 = 1;
+const OBS_STATE: u8 = 2;
 
-pub(crate) fn observed_flags(num_nets: usize, golden: &GoldenRun) -> Vec<u8> {
+fn observed_flags(num_nets: usize, golden: &GoldenRun) -> Vec<u8> {
     let mut flags = vec![0u8; num_nets];
     for &net in &golden.output_nets {
         flags[net.index()] |= OBS_OUTPUT;
@@ -426,7 +353,7 @@ impl GoldenPartition {
     }
 }
 
-/// The full-settle engine behind [`classify_points_engine`]: groups points
+/// The full-settle engine behind [`classify_points`]: groups points
 /// by injection cycle, packs up to 64 of them into one lane-parallel run
 /// seeded from the golden trace, and compares every lane against golden
 /// with word XORs.
@@ -519,7 +446,7 @@ fn classify_points_full_settle(
     effects
 }
 
-/// The event-driven engine behind [`classify_points_engine`]: like
+/// The event-driven engine behind [`classify_points`]: like
 /// [`classify_points_full_settle`] in grouping and retirement, but the
 /// chunk runs on a [`DeltaSimulator`] — campaign stimuli equal the golden
 /// stimuli by construction, so input deltas are identically zero and only
@@ -583,7 +510,7 @@ fn retire_chunk_differential(
         let before = active;
         // One scan of the (small) nonzero-delta set yields both divergence
         // masks; every other net equals golden in all lanes.
-        let [out_diff, state_diff, _] = delta.scan_flagged(flags);
+        let [out_diff, state_diff] = delta.scan_flagged(flags);
         // Outputs first, mirroring the scalar classifier's priority.
         let failed = out_diff & active;
         if failed != 0 {
@@ -658,6 +585,20 @@ fn classify_points_checkpoint(
         .collect()
 }
 
+/// Validates one simultaneous multi-bit SEU set and returns its cycle.
+fn multi_set_cycle(golden: &GoldenRun, points: &[FaultPoint]) -> Result<usize, MateError> {
+    let Some(first) = points.first() else {
+        return Err(MateError::campaign("need at least one fault point"));
+    };
+    if points.iter().any(|p| p.cycle != first.cycle) {
+        return Err(MateError::campaign(
+            "multi-bit upsets are simultaneous: all points must share one cycle",
+        ));
+    }
+    check_horizon(golden, first.cycle)?;
+    Ok(first.cycle)
+}
+
 /// Injects a *simultaneous* multi-bit SEU (all points in the same cycle)
 /// and classifies it against `golden` — the fault model of the paper's
 /// Section 6.2.
@@ -671,21 +612,7 @@ pub fn inject_multi(
     golden: &GoldenRun,
     points: &[FaultPoint],
 ) -> Result<FaultEffect, MateError> {
-    let Some(first) = points.first() else {
-        return Err(MateError::campaign("need at least one fault point"));
-    };
-    let cycle = first.cycle;
-    if points.iter().any(|p| p.cycle != cycle) {
-        return Err(MateError::campaign(
-            "multi-bit upsets are simultaneous: all points must share one cycle",
-        ));
-    }
-    let horizon = golden.trace.num_cycles();
-    if cycle >= horizon {
-        return Err(MateError::campaign(format!(
-            "injection cycle {cycle} beyond golden trace of {horizon} cycles"
-        )));
-    }
+    let cycle = multi_set_cycle(golden, points)?;
     let mut tb = harness.testbench();
     for _ in 0..cycle {
         tb.step();
@@ -697,12 +624,11 @@ pub fn inject_multi(
 }
 
 /// Classifies a batch of simultaneous multi-bit SEU *sets* — one set per
-/// lane — against `golden`: the batched counterpart of [`inject_multi`]
-/// for the multi-SEU search of `mate-core`.  Wide-capable harnesses run on
-/// the differential engine (up to 64 whole sets per pass); anything else
-/// falls back to one scalar [`inject_multi`] per set.
-/// Results are returned in the order of `sets` and are bit-identical to
-/// the scalar path.
+/// lane — against `golden`: the batched counterpart of [`inject_multi`].
+/// Wide-capable harnesses run on the differential engine (up to 64 whole
+/// sets per pass); anything else falls back to one scalar [`inject_multi`]
+/// per set.  Results are returned in the order of `sets` and are
+/// bit-identical to the scalar path.
 ///
 /// # Errors
 ///
@@ -713,22 +639,8 @@ pub fn classify_multi_points(
     golden: &GoldenRun,
     sets: &[Vec<FaultPoint>],
 ) -> Result<Vec<FaultEffect>, MateError> {
-    let horizon = golden.trace.num_cycles();
     for set in sets {
-        let Some(first) = set.first() else {
-            return Err(MateError::campaign("need at least one fault point"));
-        };
-        if set.iter().any(|p| p.cycle != first.cycle) {
-            return Err(MateError::campaign(
-                "multi-bit upsets are simultaneous: all points must share one cycle",
-            ));
-        }
-        if first.cycle >= horizon {
-            return Err(MateError::campaign(format!(
-                "injection cycle {} beyond golden trace of {horizon} cycles",
-                first.cycle
-            )));
-        }
+        multi_set_cycle(golden, set)?;
     }
     if !harness.testbench().can_run_wide() {
         return sets
@@ -739,55 +651,10 @@ pub fn classify_multi_points(
     Ok(classify_multi_differential(harness, golden, sets))
 }
 
-/// Classifies simultaneous multi-SEU sets with optional fault-space
-/// collapsing: the multi-bit counterpart of [`classify_points_pruned`].
-/// Collapsing generalizes soundly — each set becomes one worklist item
-/// carrying its odd-parity flip set, the cone support unions the members'
-/// cones, and everything else is the single-SEU machinery unchanged.
-/// Bit-identical to [`classify_multi_points`] in every mode.
-///
-/// # Errors
-///
-/// Returns [`MateError::Campaign`] if any set is empty, mixes cycles, or
-/// lies beyond the golden trace.
-pub fn classify_multi_points_pruned(
-    harness: &dyn DesignHarness,
-    golden: &GoldenRun,
-    sets: &[Vec<FaultPoint>],
-    pruning: CampaignPruning,
-) -> Result<(Vec<FaultEffect>, PruningStats), MateError> {
-    if pruning == CampaignPruning::Off || !harness.testbench().can_run_wide() {
-        let effects = classify_multi_points(harness, golden, sets)?;
-        return Ok((effects, PruningStats::unpruned(sets.len())));
-    }
-    // Re-run the set validation of the unpruned path before collapsing.
-    let horizon = golden.trace.num_cycles();
-    for set in sets {
-        let Some(first) = set.first() else {
-            return Err(MateError::campaign("need at least one fault point"));
-        };
-        if set.iter().any(|p| p.cycle != first.cycle) {
-            return Err(MateError::campaign(
-                "multi-bit upsets are simultaneous: all points must share one cycle",
-            ));
-        }
-        if first.cycle >= horizon {
-            return Err(MateError::campaign(format!(
-                "injection cycle {} beyond golden trace of {horizon} cycles",
-                first.cycle
-            )));
-        }
-    }
-    Ok(crate::collapse::classify_multi_collapse(
-        harness, golden, sets,
-    ))
-}
-
-/// The lane-parallel body of [`classify_multi_points`], shared with the
-/// collapsing fallback: identical chunking to
-/// [`classify_points_differential`], except each lane carries *all* flips
-/// of its set.
-pub(crate) fn classify_multi_differential(
+/// The lane-parallel body of [`classify_multi_points`]: identical chunking
+/// to [`classify_points_differential`], except each lane carries *all*
+/// flips of its set.
+fn classify_multi_differential(
     harness: &dyn DesignHarness,
     golden: &GoldenRun,
     sets: &[Vec<FaultPoint>],
@@ -923,10 +790,6 @@ pub struct CampaignConfig {
     /// Which batched engine classifies wide-capable workloads.  Results
     /// are bit-identical for every choice.
     pub engine: CampaignEngine,
-    /// Whether to collapse temporally equivalent fault points before
-    /// simulating (see [`crate::collapse`]).  Results are bit-identical
-    /// for both modes.
-    pub pruning: CampaignPruning,
 }
 
 impl Default for CampaignConfig {
@@ -937,7 +800,49 @@ impl Default for CampaignConfig {
             seed: 0,
             threads: 0,
             engine: CampaignEngine::default(),
-            pruning: CampaignPruning::default(),
+        }
+    }
+}
+
+/// Per-point work accounting of a campaign.
+///
+/// Every campaign simulates every point individually, so a computed
+/// campaign always reports [`PruningStats::unpruned`] and a campaign decoded
+/// from a cached artifact reports the all-zero default.  The struct stays
+/// only because the end-to-end benchmark (`e2e-bench`) reads it for its
+/// `hafi.collapse_*` per-layer metrics; both go together.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PruningStats {
+    /// Fault points fed to the classifier.
+    pub points: usize,
+    /// Equivalence classes among them (always 0).
+    pub classes: usize,
+    /// Representative probes executed (always 0).
+    pub probes: usize,
+    /// Points classified without individual simulation (always 0).
+    pub skipped: usize,
+    /// Points individually simulated.
+    pub fallback: usize,
+    /// Probe-memo hits (always 0).
+    pub memo_hits: usize,
+}
+
+impl PruningStats {
+    /// Stats for an unpruned run: every point individually simulated.
+    pub fn unpruned(points: usize) -> Self {
+        Self {
+            points,
+            fallback: points,
+            ..Self::default()
+        }
+    }
+
+    /// Fraction of points classified without individual simulation.
+    pub fn skip_rate(&self) -> f64 {
+        if self.points == 0 {
+            0.0
+        } else {
+            self.skipped as f64 / self.points as f64
         }
     }
 }
@@ -947,8 +852,7 @@ impl Default for CampaignConfig {
 pub struct CampaignResult {
     /// Every injected point with its classified effect.
     pub records: Vec<(FaultPoint, FaultEffect)>,
-    /// Collapsing work accounting, summed over thread shards.  Diagnostic
-    /// only — the records are bit-identical whatever it says — and
+    /// Work accounting (see [`PruningStats`]).  Diagnostic only, and
     /// therefore not part of any artifact encoding.
     pub pruning: PruningStats,
 }
@@ -1037,7 +941,7 @@ fn effective_threads(threads: usize, points: usize) -> usize {
 /// Runs a full (or sampled) injection campaign over `space` on the batched
 /// engine selected by [`CampaignConfig::engine`]: identical records to
 /// [`run_campaign`], at up to 64 fault scenarios per simulation via
-/// [`classify_points_engine`], sharded over [`CampaignConfig::threads`]
+/// [`classify_points`], sharded over [`CampaignConfig::threads`]
 /// worker threads (threads × 64 concurrent fault scenarios).
 ///
 /// Each thread classifies one contiguous chunk of the point list into its
@@ -1061,36 +965,30 @@ pub fn run_campaign_wide(
     .filter(|p| p.cycle < config.cycles)
     .collect();
     let threads = effective_threads(config.threads, points.len());
-    let (effects, pruning) = if threads <= 1 {
-        classify_points_pruned(harness, &golden, &points, config.engine, config.pruning)?
+    let effects = if threads <= 1 {
+        classify_points(harness, &golden, &points, config.engine)?
     } else {
         let chunk = points.len().div_ceil(threads);
-        let mut shards: Vec<Result<(Vec<FaultEffect>, PruningStats), MateError>> = points
-            .chunks(chunk)
-            .map(|_| Ok(Default::default()))
-            .collect();
+        let mut shards: Vec<Result<Vec<FaultEffect>, MateError>> =
+            points.chunks(chunk).map(|_| Ok(Vec::new())).collect();
         let golden = &golden;
         let engine = config.engine;
-        let mode = config.pruning;
         std::thread::scope(|scope| {
             for (pts, out) in points.chunks(chunk).zip(shards.iter_mut()) {
                 scope.spawn(move || {
-                    *out = classify_points_pruned(harness, golden, pts, engine, mode);
+                    *out = classify_points(harness, golden, pts, engine);
                 });
             }
         });
         let mut effects = Vec::with_capacity(points.len());
-        let mut pruning = PruningStats::default();
         for shard in shards {
-            let (shard_effects, shard_stats) = shard?;
-            effects.extend(shard_effects);
-            pruning.absorb(&shard_stats);
+            effects.extend(shard?);
         }
-        (effects, pruning)
+        effects
     };
     Ok(CampaignResult {
+        pruning: PruningStats::unpruned(points.len()),
         records: points.into_iter().zip(effects).collect(),
-        pruning,
     })
 }
 
@@ -1099,7 +997,7 @@ mod tests {
     use super::*;
     use crate::harness::StimulusHarness;
     use crate::space::FaultSpace;
-    use mate_netlist::examples::{counter, tmr_register};
+    use mate_netlist::examples::{counter, figure1b, tmr_register};
 
     #[test]
     fn counter_bit_flip_is_persistent_but_silent_only_if_unobserved() {
@@ -1237,7 +1135,6 @@ mod tests {
             seed: 0,
             threads: 1,
             engine: CampaignEngine::default(),
-            pruning: CampaignPruning::default(),
         };
         let single = run_campaign_wide(&harness, &space, &base).unwrap();
         for threads in [0usize, 2, 4, 7, 1000] {
@@ -1247,6 +1144,24 @@ mod tests {
         }
     }
 
+    /// Classifies the exhaustive fault space of `harness` over `cycles`
+    /// with both batched engines, asserts each equals one scalar `inject`
+    /// per point, and returns the scalar effects.
+    fn assert_engines_match_inject(harness: &StimulusHarness, cycles: usize) -> Vec<FaultEffect> {
+        let space = FaultSpace::all_ffs(harness.netlist(), harness.topology(), cycles);
+        let golden = golden_run(harness, cycles + 1);
+        let points: Vec<FaultPoint> = space.iter().collect();
+        let scalar: Vec<FaultEffect> = points
+            .iter()
+            .map(|&p| inject(harness, &golden, p).unwrap())
+            .collect();
+        for engine in CampaignEngine::all() {
+            let batched = classify_points(harness, &golden, &points, engine).unwrap();
+            assert_eq!(scalar, batched, "{engine} engine");
+        }
+        scalar
+    }
+
     #[test]
     fn engines_match_scalar_reference() {
         // Both batched engines classify bit-identically to the scalar
@@ -1254,16 +1169,43 @@ mod tests {
         let (n, topo) = counter(5);
         let en = n.find_net("en").unwrap();
         let harness = StimulusHarness::new(n, topo).drive(en, vec![true, true, false]);
-        let space = FaultSpace::all_ffs(harness.netlist(), harness.topology(), 20);
-        let golden = golden_run(&harness, 21);
-        let points: Vec<FaultPoint> = space.iter().collect();
-        let scalar: Vec<FaultEffect> = points
-            .iter()
-            .map(|&p| inject(&harness, &golden, p).unwrap())
-            .collect();
+        assert_engines_match_inject(&harness, 20);
+
+        // The paper's figure-1b circuit, whose verdicts are mixed.
+        let (n, topo) = figure1b();
+        let input = n.find_net("in").unwrap();
+        let cycles = 24;
+        let harness = StimulusHarness::new(n, topo)
+            .drive(input, (0..=cycles).map(|c| c % 3 == 1).collect::<Vec<_>>());
+        let scalar = assert_engines_match_inject(&harness, cycles);
+        let classes: std::collections::HashSet<_> =
+            scalar.iter().map(|e| std::mem::discriminant(e)).collect();
+        assert!(classes.len() >= 2, "degenerate workload");
+    }
+
+    #[test]
+    fn injection_at_horizon_is_rejected() {
+        let (n, topo) = counter(3);
+        let en = n.find_net("en").unwrap();
+        let harness = StimulusHarness::new(n, topo).drive(en, vec![true]);
+        let golden = golden_run(&harness, 5);
+        let ff = harness.topology().seq_cells()[0];
+        let wire = harness.netlist().cell(ff).output();
+        let inside = FaultPoint { ff, wire, cycle: 4 };
+        let at_horizon = FaultPoint { ff, wire, cycle: 5 };
+        assert!(inject(&harness, &golden, inside).is_ok());
+        assert!(matches!(
+            inject(&harness, &golden, at_horizon),
+            Err(MateError::Campaign(_))
+        ));
         for engine in CampaignEngine::all() {
-            let batched = classify_points_engine(&harness, &golden, &points, engine).unwrap();
-            assert_eq!(scalar, batched, "{engine} engine");
+            assert!(
+                matches!(
+                    classify_points(&harness, &golden, &[inside, at_horizon], engine),
+                    Err(MateError::Campaign(_))
+                ),
+                "{engine} engine"
+            );
         }
     }
 
@@ -1402,6 +1344,21 @@ mod tests {
             CampaignEngine::Differential
         );
         let _ = n;
+    }
+
+    #[test]
+    fn stats_accounting_helpers() {
+        let un = PruningStats::unpruned(10);
+        assert_eq!(un.points, 10);
+        assert_eq!(un.fallback, 10);
+        assert_eq!(un.skip_rate(), 0.0);
+        assert_eq!(PruningStats::default().skip_rate(), 0.0);
+        let quarter = PruningStats {
+            points: 4,
+            skipped: 1,
+            ..PruningStats::default()
+        };
+        assert_eq!(quarter.skip_rate(), 0.25);
     }
 
     #[test]

@@ -12,8 +12,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use crate::campaign::{classify_points_pruned, golden_run, CampaignEngine, FaultEffect};
-use crate::collapse::{CampaignPruning, PruningStats};
+use crate::campaign::{classify_points, golden_run, CampaignEngine, FaultEffect};
 use crate::harness::DesignHarness;
 use crate::space::{FaultPoint, FaultSpace};
 
@@ -29,10 +28,6 @@ pub struct ValidationReport {
     /// Violations: claimed benign but observably *not* masked — must stay
     /// empty for a sound implementation.
     pub violations: Vec<(FaultPoint, FaultEffect)>,
-    /// Fault-space collapsing accounting for the injection pass (claimed
-    /// points are overwhelmingly masked-within-one-cycle, the class the
-    /// collapsing layer decides with one probe per golden context).
-    pub pruning: PruningStats,
 }
 
 impl ValidationReport {
@@ -102,21 +97,8 @@ pub fn validate_mates(
             claimed_points.truncate(limit);
         }
     }
-    // Batched classification with fault-space collapsing: up to 64
-    // claimed points share one run, and — on wide-capable
-    // harnesses — temporally equivalent claims collapse onto one
-    // representative probe each.  Almost every claimed point is masked
-    // within one cycle, so whole equivalence classes die on their first
-    // probe and validation work scales with the number of distinct golden
-    // contexts rather than the number of claims.
-    let (effects, pruning) = classify_points_pruned(
-        harness,
-        &golden,
-        &claimed_points,
-        CampaignEngine::default(),
-        CampaignPruning::default(),
-    )?;
-    validation.pruning = pruning;
+    // Batched classification: up to 64 claimed points share one run.
+    let effects = classify_points(harness, &golden, &claimed_points, CampaignEngine::default())?;
     for (point, effect) in claimed_points.into_iter().zip(effects) {
         validation.checked += 1;
         if effect.is_masked_one_cycle() {

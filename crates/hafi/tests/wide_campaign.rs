@@ -1,5 +1,5 @@
 //! The batched campaign engines must be pure performance changes: every
-//! path through [`classify_points_engine`] — differential, full-settle,
+//! path through [`classify_points`] — differential, full-settle,
 //! checkpointed scalar, and the scalar fallback — at every thread count,
 //! has to produce classifications bit-identical to one [`inject`] call per
 //! fault point.
@@ -7,9 +7,8 @@
 use proptest::prelude::*;
 
 use mate_hafi::{
-    classify_multi_points, classify_multi_points_pruned, classify_points, classify_points_engine,
-    classify_points_pruned, golden_run, inject, inject_multi, run_campaign, run_campaign_wide,
-    CampaignConfig, CampaignEngine, CampaignPruning, CampaignResult, DesignHarness, FaultPoint,
+    classify_multi_points, classify_points, golden_run, inject, inject_multi, run_campaign,
+    run_campaign_wide, CampaignConfig, CampaignEngine, CampaignResult, DesignHarness, FaultPoint,
     FaultSpace, StimulusHarness,
 };
 use mate_netlist::random::{random_circuit, RandomCircuitConfig};
@@ -35,8 +34,8 @@ fn harness_for(seed: u64, cfg: RandomCircuitConfig, cycles: usize) -> StimulusHa
 }
 
 /// Runs the scalar campaign (one `inject` per point) and asserts that every
-/// engine × pruning mode × 1 and 3 threads of the wide campaign reproduces
-/// it record for record.  Returns the scalar result.
+/// engine × 1 and 3 threads of the wide campaign reproduces it record for
+/// record.  Returns the scalar result.
 fn assert_wide_matches_scalar_campaign(
     harness: &StimulusHarness,
     base: CampaignConfig,
@@ -44,24 +43,20 @@ fn assert_wide_matches_scalar_campaign(
     let space = FaultSpace::all_ffs(harness.netlist(), harness.topology(), base.cycles);
     let scalar = run_campaign(harness, &space, &base).unwrap();
     for engine in CampaignEngine::all() {
-        for pruning in CampaignPruning::all() {
-            for threads in [1, 3] {
-                let config = CampaignConfig {
-                    engine,
-                    pruning,
-                    threads,
-                    ..base
-                };
-                let wide = run_campaign_wide(harness, &space, &config).unwrap();
-                prop_assert_eq!(
-                    &scalar.records,
-                    &wide.records,
-                    "{} engine {} pruning {} threads",
-                    engine,
-                    pruning,
-                    threads
-                );
-            }
+        for threads in [1, 3] {
+            let config = CampaignConfig {
+                engine,
+                threads,
+                ..base
+            };
+            let wide = run_campaign_wide(harness, &space, &config).unwrap();
+            prop_assert_eq!(
+                &scalar.records,
+                &wide.records,
+                "{} engine {} threads",
+                engine,
+                threads
+            );
         }
     }
     Ok(scalar)
@@ -109,7 +104,8 @@ proptest! {
         let space = FaultSpace::all_ffs(harness.netlist(), harness.topology(), cycles);
         let points: Vec<FaultPoint> = space.iter().collect();
 
-        let batched = classify_points(&harness, &golden, &points).unwrap();
+        let batched =
+            classify_points(&harness, &golden, &points, CampaignEngine::default()).unwrap();
         for (&point, wide_effect) in points.iter().zip(&batched) {
             let scalar_effect = inject(&harness, &golden, point).unwrap();
             prop_assert_eq!(
@@ -149,7 +145,7 @@ proptest! {
             .map(|&p| inject(&harness, &golden, p).unwrap())
             .collect();
         for engine in CampaignEngine::all() {
-            let batched = classify_points_engine(&harness, &golden, &points, engine).unwrap();
+            let batched = classify_points(&harness, &golden, &points, engine).unwrap();
             prop_assert_eq!(&scalar, &batched, "seed {} {} engine", seed, engine);
         }
     }
@@ -169,7 +165,6 @@ proptest! {
             seed,
             threads: 1,
             engine: CampaignEngine::FullSettle,
-            pruning: CampaignPruning::Off,
         };
         let reference = run_campaign_wide(&harness, &space, &base).unwrap();
         for engine in CampaignEngine::all() {
@@ -187,7 +182,8 @@ proptest! {
 
     /// Batched multi-SEU sets (one whole set per lane) classify exactly
     /// like one scalar `inject_multi` per set — the `core/src/multi.rs`
-    /// fault model on the differential engine.
+    /// fault model on the differential engine — including a duplicated
+    /// point inside a set, whose two flips cancel.
     #[test]
     fn multi_seu_sets_match_scalar_inject_multi(seed in 0u64..5_000) {
         let cfg = RandomCircuitConfig { inputs: 3, ffs: 7, gates: 24, outputs: 2 };
@@ -200,7 +196,8 @@ proptest! {
         let points: Vec<FaultPoint> = space.iter().collect();
         // Pair up points within each cycle into 2- and 3-bit sets, plus the
         // singletons, mimicking the adjacent-FF sets of the multi-SEU
-        // search.
+        // search, and one set flipping the same flip-flop twice, which
+        // cancels to a no-op.
         let mut sets: Vec<Vec<FaultPoint>> = Vec::new();
         for cycle in 0..cycles {
             let in_cycle: Vec<FaultPoint> =
@@ -213,6 +210,7 @@ proptest! {
             }
             if let Some(&first) = in_cycle.first() {
                 sets.push(vec![first]);
+                sets.push(vec![first, first]);
             }
         }
         let scalar: Vec<_> = sets
@@ -221,113 +219,6 @@ proptest! {
             .collect();
         let batched = classify_multi_points(&harness, &golden, &sets).unwrap();
         prop_assert_eq!(&scalar, &batched, "seed {}", seed);
-    }
-
-    /// Fault-space collapsing is invisible in the records: the pruned
-    /// classification is bit-identical to the unpruned one across engines
-    /// on the exhaustive fault space, and the stats add up.
-    #[test]
-    fn pruned_classification_matches_unpruned(seed in 0u64..5_000) {
-        let cfg = RandomCircuitConfig { inputs: 3, ffs: 8, gates: 28, outputs: 2 };
-        let cycles = 12;
-        let harness = harness_for(seed.wrapping_add(211), cfg, cycles + 1);
-        prop_assert!(harness.testbench().can_run_wide());
-
-        let golden = golden_run(&harness, cycles + 1);
-        let space = FaultSpace::all_ffs(harness.netlist(), harness.topology(), cycles);
-        let points: Vec<FaultPoint> = space.iter().collect();
-        let scalar: Vec<_> = points
-            .iter()
-            .map(|&p| inject(&harness, &golden, p).unwrap())
-            .collect();
-        for engine in CampaignEngine::all() {
-            let (unpruned, off_stats) = classify_points_pruned(
-                &harness, &golden, &points, engine, CampaignPruning::Off,
-            ).unwrap();
-            let (pruned, stats) = classify_points_pruned(
-                &harness, &golden, &points, engine, CampaignPruning::Collapse,
-            ).unwrap();
-            prop_assert_eq!(&scalar, &unpruned, "off: seed {seed} {engine}");
-            prop_assert_eq!(&scalar, &pruned, "collapse: seed {} {} engine", seed, engine);
-            prop_assert_eq!(off_stats.skipped, 0);
-            prop_assert_eq!(off_stats.fallback, points.len());
-            prop_assert_eq!(stats.points, points.len());
-            prop_assert_eq!(stats.skipped + stats.fallback, stats.points);
-            prop_assert!(stats.classes <= stats.points);
-        }
-    }
-
-    /// Collapsing under thread sharding: any thread count × pruning mode
-    /// reproduces the single-threaded unpruned records.
-    #[test]
-    fn pruned_campaign_matches_across_threads(seed in 0u64..5_000, threads in 2usize..5) {
-        let cfg = RandomCircuitConfig { inputs: 3, ffs: 6, gates: 22, outputs: 2 };
-        let cycles = 10;
-        let harness = harness_for(seed.wrapping_add(307), cfg, cycles + 1);
-        let space = FaultSpace::all_ffs(harness.netlist(), harness.topology(), cycles);
-        let base = CampaignConfig {
-            cycles,
-            sample: Some(30),
-            seed,
-            threads: 1,
-            engine: CampaignEngine::FullSettle,
-            pruning: CampaignPruning::Off,
-        };
-        let reference = run_campaign_wide(&harness, &space, &base).unwrap();
-        for pruning in CampaignPruning::all() {
-            for engine in CampaignEngine::all() {
-                for t in [1, threads] {
-                    let run = run_campaign_wide(
-                        &harness,
-                        &space,
-                        &CampaignConfig { threads: t, engine, pruning, ..base },
-                    ).unwrap();
-                    prop_assert_eq!(
-                        &reference.records, &run.records,
-                        "{} pruning {} engine {} threads", pruning, engine, t
-                    );
-                    prop_assert_eq!(run.pruning.points, run.records.len());
-                }
-            }
-        }
-    }
-
-    /// Multi-SEU collapsing generalizes soundly: pruned multi-set
-    /// classification is bit-identical to scalar `inject_multi`, including
-    /// duplicated points inside a set (whose flips cancel in pairs).
-    #[test]
-    fn pruned_multi_seu_sets_match_scalar(seed in 0u64..5_000) {
-        let cfg = RandomCircuitConfig { inputs: 3, ffs: 7, gates: 24, outputs: 2 };
-        let cycles = 10;
-        let harness = harness_for(seed.wrapping_add(409), cfg, cycles + 1);
-        prop_assert!(harness.testbench().can_run_wide());
-
-        let golden = golden_run(&harness, cycles + 1);
-        let space = FaultSpace::all_ffs(harness.netlist(), harness.topology(), cycles);
-        let points: Vec<FaultPoint> = space.iter().collect();
-        let mut sets: Vec<Vec<FaultPoint>> = Vec::new();
-        for cycle in 0..cycles {
-            let in_cycle: Vec<FaultPoint> =
-                points.iter().copied().filter(|p| p.cycle == cycle).collect();
-            for pair in in_cycle.windows(2) {
-                sets.push(pair.to_vec());
-            }
-            if let Some(&first) = in_cycle.first() {
-                sets.push(vec![first]);
-                // A double flip of one flip-flop cancels to a no-op set.
-                sets.push(vec![first, first]);
-            }
-        }
-        let scalar: Vec<_> = sets
-            .iter()
-            .map(|s| inject_multi(&harness, &golden, s).unwrap())
-            .collect();
-        for pruning in CampaignPruning::all() {
-            let (batched, stats) =
-                classify_multi_points_pruned(&harness, &golden, &sets, pruning).unwrap();
-            prop_assert_eq!(&scalar, &batched, "seed {} {} pruning", seed, pruning);
-            prop_assert_eq!(stats.points, sets.len());
-        }
     }
 }
 
@@ -385,7 +276,8 @@ mod checkpoint_path {
         let golden = golden_run(harness, cycles + 1);
         let space = FaultSpace::all_ffs(harness.netlist(), harness.topology(), cycles);
         let points = space.sample(sample, 42);
-        let batched = classify_points(harness, &golden, &points).unwrap();
+        let batched =
+            classify_points(harness, &golden, &points, CampaignEngine::default()).unwrap();
         for (&point, checkpointed) in points.iter().zip(&batched) {
             let scalar = inject(harness, &golden, point).unwrap();
             assert_eq!(

@@ -171,11 +171,9 @@ pub fn tmr_register() -> (Netlist, Topology) {
 /// state is not uniform); slice `s` exposes its vote as output `b{s}_vote`.
 ///
 /// This is the masked-heavy campaign workload: nearly every replica upset
-/// is voted away within one cycle, each flip-flop's fault cone stays inside
-/// its own slice, and periodic stimuli fold the `3·bits × cycles` fault
-/// space onto a handful of golden contexts — the best case for fault-space
-/// collapsing and representative of protected register files in real
-/// radiation-hardened designs.
+/// is voted away within one cycle and each flip-flop's fault cone stays
+/// inside its own slice — representative of protected register files in
+/// real radiation-hardened designs.
 ///
 /// # Panics
 ///

@@ -563,7 +563,7 @@ impl SoaNetlist {
     /// This is the arena-side mirror of
     /// [`FaultCone::compute_multi`](crate::FaultCone::compute_multi) +
     /// [`FaultCone::border_nets`](crate::FaultCone::border_nets), used by
-    /// the campaign fault-space collapsing layer; a unit test pins the two
+    /// the SAT cone encoder of `mate-analyze`; a unit test pins the two
     /// against each other.
     ///
     /// # Panics

@@ -176,7 +176,7 @@ impl Flow {
         config: CampaignConfig,
         wires: Option<WireSetSpec>,
     ) -> Result<Staged<CampaignResult>, MateError> {
-        let staged = self.pipeline.run(
+        self.pipeline.run(
             &Campaign {
                 source,
                 config,
@@ -184,21 +184,7 @@ impl Flow {
             },
             &self.design.value,
             &[self.design.key],
-        )?;
-        // Surface the collapsing accounting in the run summary — but only
-        // for computed stages: cached artifacts carry no stats, and a
-        // zeroed block would read as "nothing collapsed".
-        let computed = self
-            .pipeline
-            .summary()
-            .records
-            .last()
-            .is_some_and(|r| r.stage == "campaign" && !r.cached);
-        if computed {
-            self.pipeline
-                .annotate_last(format!("pruning: {}", staged.value.pruning));
-        }
-        Ok(staged)
+        )
     }
 
     /// The per-stage records so far.

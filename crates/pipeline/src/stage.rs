@@ -127,12 +127,6 @@ impl Pipeline {
         &self.summary
     }
 
-    /// Attaches a diagnostic note to the most recently recorded stage (see
-    /// [`RunSummary::annotate_last`]).
-    pub fn annotate_last(&mut self, detail: impl Into<String>) {
-        self.summary.annotate_last(detail);
-    }
-
     /// Consumes the pipeline, returning its summary.
     pub fn into_summary(self) -> RunSummary {
         self.summary

@@ -856,12 +856,9 @@ impl Stage<&Design> for Campaign {
             None => h.bool(false),
         }
         h.u64(self.config.seed);
-        // `threads`, `engine`, and `pruning` excluded: records are
-        // bit-identical for every thread count, batched engine, and pruning
-        // mode (enforced by the campaign proptests and the pruning
-        // equivalence gate), so none of them may split the cache —
-        // an artifact computed without collapsing must hit for a collapsed
-        // configuration and vice versa.
+        // `threads` and `engine` excluded: records are bit-identical for
+        // every thread count and batched engine (enforced by the campaign
+        // proptests), so neither may split the cache.
         match &self.wires {
             Some(spec) => {
                 h.bool(true);
@@ -945,7 +942,7 @@ impl Stage<&Design> for Campaign {
             };
             records.push((FaultPoint { ff, wire, cycle }, effect));
         }
-        // Cached artifacts carry no collapsing accounting (the stats are
+        // Cached artifacts carry no work accounting (the stats are
         // diagnostic, not part of the result): report an idle stats block.
         Ok(CampaignResult {
             records,

@@ -17,10 +17,6 @@ pub struct StageRecord {
     pub elapsed: Duration,
     /// The artifact key the stage resolved to.
     pub key: ContentHash,
-    /// Optional free-form annotation a stage owner attaches after the run
-    /// (e.g. the campaign stage records its fault-space collapsing stats
-    /// here).  Purely diagnostic: never part of any artifact key.
-    pub detail: Option<String>,
 }
 
 /// The stage-by-stage record of one pipeline run.
@@ -38,16 +34,7 @@ impl RunSummary {
             cached,
             elapsed,
             key,
-            detail: None,
         });
-    }
-
-    /// Attaches a diagnostic note to the most recent record (no-op on an
-    /// empty summary).
-    pub fn annotate_last(&mut self, detail: impl Into<String>) {
-        if let Some(last) = self.records.last_mut() {
-            last.detail = Some(detail.into());
-        }
     }
 
     /// Number of stages run.
@@ -84,17 +71,12 @@ impl RunSummary {
                 out.push(',');
             }
             out.push_str(&format!(
-                "{{\"stage\":\"{}\",\"cached\":{},\"millis\":{:.3},\"key\":\"{}\"",
+                "{{\"stage\":\"{}\",\"cached\":{},\"millis\":{:.3},\"key\":\"{}\"}}",
                 r.stage,
                 r.cached,
                 r.elapsed.as_secs_f64() * 1e3,
                 r.key
             ));
-            if let Some(detail) = &r.detail {
-                let escaped = detail.replace('\\', "\\\\").replace('"', "\\\"");
-                out.push_str(&format!(",\"detail\":\"{escaped}\""));
-            }
-            out.push('}');
         }
         out.push_str(&format!(
             "],\"hits\":{},\"misses\":{}}}",
@@ -117,9 +99,6 @@ impl fmt::Display for RunSummary {
                 r.elapsed.as_secs_f64() * 1e3,
                 r.key
             )?;
-            if let Some(detail) = &r.detail {
-                writeln!(f, "{:<16} {detail}", "")?;
-            }
         }
         write!(
             f,
@@ -148,26 +127,8 @@ mod tests {
         let json = s.to_json();
         assert!(json.contains("\"hits\":1"), "{json}");
         assert!(json.contains("\"stage\":\"a\""), "{json}");
-        assert!(!json.contains("detail"), "{json}");
         let text = s.to_string();
         assert!(text.contains("miss"), "{text}");
-    }
-
-    #[test]
-    fn annotation_lands_on_last_record_and_serializes() {
-        let mut s = RunSummary::default();
-        s.annotate_last("dropped"); // no-op on empty summary
-        s.push("campaign", false, Duration::from_millis(1), ContentHash(9));
-        s.annotate_last("42 points, 3 classes \"quoted\"");
-        assert_eq!(
-            s.records[0].detail.as_deref(),
-            Some("42 points, 3 classes \"quoted\"")
-        );
-        let json = s.to_json();
-        assert!(json.contains("\"detail\":\"42 points"), "{json}");
-        assert!(json.contains("\\\"quoted\\\""), "{json}");
-        let text = s.to_string();
-        assert!(text.contains("3 classes"), "{text}");
     }
 
     #[test]

@@ -164,60 +164,50 @@ fn changed_search_config_misses_while_the_prefix_hits() {
 }
 
 /// Plants a campaign artifact under one engine configuration and proves a
-/// maximally different engine configuration — pruning mode, engine and
-/// thread count all changed — still hits it.  Collapsing is an
-/// invisible optimization: records are bit-identical for every mode, so
-/// pre-existing artifacts must keep serving after the collapsing layer
-/// landed.
+/// different one — engine and thread count both changed — still hits it:
+/// records are bit-identical for every engine and thread count, so neither
+/// may split the cache.
 #[test]
-fn pruning_and_engine_config_never_split_the_campaign_cache() {
-    use mate_hafi::{CampaignEngine, CampaignPruning};
+fn engine_and_threads_never_split_the_campaign_cache() {
+    use mate_hafi::{CampaignEngine, PruningStats};
 
-    let scratch = Scratch::new("pruning-hit");
+    let scratch = Scratch::new("engine-hit");
     let planted_config = CampaignConfig {
         cycles: 12,
         threads: 1,
         engine: CampaignEngine::FullSettle,
-        pruning: CampaignPruning::Off,
         ..CampaignConfig::default()
     };
 
-    // Plant: computed without collapsing, on the full-settle engine.
+    // Plant: computed on the full-settle engine, single-threaded.
     let mut flow = Flow::new(scratch.store(), tmr_source()).unwrap();
     let planted = flow.campaign(tmr_waves(), planted_config, None).unwrap();
     let summary = flow.into_summary();
-    let record = summary.records.last().unwrap();
-    assert!(!record.cached);
-    assert!(
-        record
-            .detail
-            .as_deref()
-            .is_some_and(|d| d.contains("pruning")),
-        "computed campaign stage should carry collapsing stats: {summary}"
+    assert!(!summary.records.last().unwrap().cached);
+    assert_eq!(
+        planted.value.pruning,
+        PruningStats::unpruned(planted.value.records.len())
     );
 
-    // Probe: collapsing on, auto engine, threaded — must hit the planted
-    // artifact byte-for-byte.
+    // Probe: auto engine, threaded — must hit the planted artifact
+    // byte-for-byte.
     let probe_config = CampaignConfig {
         cycles: 12,
         threads: 3,
         engine: CampaignEngine::Auto,
-        pruning: CampaignPruning::Collapse,
         ..CampaignConfig::default()
     };
     let mut flow = Flow::new(scratch.store(), tmr_source()).unwrap();
     let probe = flow.campaign(tmr_waves(), probe_config, None).unwrap();
     let summary = flow.into_summary();
-    let record = summary.records.last().unwrap();
     assert!(
-        record.cached,
-        "pruning/engine/threads must not split the cache: {summary}"
+        summary.records.last().unwrap().cached,
+        "engine/threads must not split the cache: {summary}"
     );
     assert_eq!(probe.key, planted.key);
     assert_eq!(probe.value.records, planted.value.records);
-    // Cached artifacts carry no collapsing accounting and no annotation.
+    // Cached artifacts carry no work accounting.
     assert_eq!(probe.value.pruning.points, 0);
-    assert!(record.detail.is_none(), "{summary}");
 }
 
 #[test]

@@ -1,14 +1,14 @@
 //! Acceptance tests for the Yosys JSON frontend: the vendored third core
 //! (`vendor/netlists/uart_tx`) ingests through the lint gate, behaves
 //! like an 8N1 UART, runs the full pipeline (search → capture → evaluate
-//! → select → verify → campaign on every engine/pruning mode), and its
+//! → select → verify → campaign on every engine), and its
 //! artifact cache is keyed by the *bytes* of the external file.
 
 use std::path::{Path, PathBuf};
 
 use mate::SearchConfig;
 use mate_analyze::VerifyConfig;
-use mate_hafi::{CampaignConfig, CampaignEngine, CampaignPruning};
+use mate_hafi::{CampaignConfig, CampaignEngine};
 use mate_netlist::yosys::parse_yosys_netlist;
 use mate_netlist::{Library, MateError};
 use mate_pipeline::{ingest_gate, ArtifactStore, DesignSource, Flow, TraceSource, WireSetSpec};
@@ -125,8 +125,8 @@ fn vendored_uart_transmits_a_frame() {
 
 /// The full paper pipeline on the external core: MATE search, golden
 /// trace, prune-matrix evaluation, top-N selection, independent soundness
-/// verification, and the injection campaign on every engine × pruning
-/// combination — all bit-identical across engines.
+/// verification, and the injection campaign on every engine — all
+/// bit-identical across engines.
 #[test]
 fn vendored_core_runs_the_full_pipeline() {
     let scratch = Scratch::new("full-pipeline");
@@ -177,18 +177,12 @@ fn vendored_core_runs_the_full_pipeline() {
     let counts = analysis.value.counts();
     assert_eq!(counts.refuted, 0, "unsound MATE on the vendored core");
 
-    // Campaign: every engine × pruning combination, bit-identical records.
-    let combos = [
-        (CampaignEngine::FullSettle, CampaignPruning::Off),
-        (CampaignEngine::FullSettle, CampaignPruning::Collapse),
-        (CampaignEngine::Differential, CampaignPruning::Off),
-        (CampaignEngine::Differential, CampaignPruning::Collapse),
-    ];
+    // Campaign: every engine, bit-identical records.
     let mut reference = None;
-    for (engine, pruning) in combos {
-        // A fresh store per combo forces a real recompute on every engine
+    for engine in CampaignEngine::all() {
+        // A fresh store per engine forces a real recompute on each one
         // (they share one cache key by design — bit-identical invariant).
-        let combo_scratch = Scratch::new(&format!("combo-{engine:?}-{pruning:?}"));
+        let combo_scratch = Scratch::new(&format!("combo-{engine:?}"));
         let mut flow = Flow::new(combo_scratch.store(), uart_source()).unwrap();
         let result = flow
             .campaign(
@@ -197,7 +191,6 @@ fn vendored_core_runs_the_full_pipeline() {
                     cycles: 48,
                     threads: 1,
                     engine,
-                    pruning,
                     ..CampaignConfig::default()
                 },
                 None,
@@ -208,7 +201,7 @@ fn vendored_core_runs_the_full_pipeline() {
             None => reference = Some(result.value.records.clone()),
             Some(expected) => assert_eq!(
                 &result.value.records, expected,
-                "{engine:?}/{pruning:?} diverged from the reference records"
+                "{engine:?} diverged from the reference records"
             ),
         }
     }

@@ -39,8 +39,6 @@
 //! quiet is recomputed (and cleared) by its driver before any higher row
 //! could read it.
 
-use std::borrow::Cow;
-
 use mate_netlist::prelude::*;
 
 use crate::transposed::{CycleView, TransposedTrace};
@@ -56,9 +54,8 @@ use crate::wide::WideSimulator;
 #[derive(Clone, Debug)]
 pub struct DeltaSimulator<'n> {
     netlist: &'n Netlist,
-    /// The flattened evaluation schedule (owned by default; share one arena
-    /// across simulators with [`DeltaSimulator::with_arena`]).
-    soa: Cow<'n, SoaNetlist>,
+    /// The flattened evaluation schedule.
+    soa: SoaNetlist,
     /// One packed delta word per net: lane `l` is `actual XOR golden`.
     delta: Vec<u64>,
     /// Unordered list of nets with nonzero delta.
@@ -84,31 +81,7 @@ impl<'n> DeltaSimulator<'n> {
     /// trajectory (all deltas zero), flattening the netlist into its own
     /// [`SoaNetlist`] arena.
     pub fn new(netlist: &'n Netlist, topo: &'n Topology) -> Self {
-        Self::from_cow(netlist, Cow::Owned(SoaNetlist::build(netlist, topo)))
-    }
-
-    /// Creates a differential simulator sharing a prebuilt arena (the
-    /// compile-once path: one [`SoaNetlist::build`] serves any number of
-    /// simulators).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the arena was built for a different netlist shape.
-    pub fn with_arena(netlist: &'n Netlist, soa: &'n SoaNetlist) -> Self {
-        Self::from_cow(netlist, Cow::Borrowed(soa))
-    }
-
-    fn from_cow(netlist: &'n Netlist, soa: Cow<'n, SoaNetlist>) -> Self {
-        assert_eq!(
-            soa.num_nets(),
-            netlist.num_nets(),
-            "arena incompatible with this netlist"
-        );
-        assert_eq!(
-            soa.num_cells(),
-            netlist.num_cells(),
-            "arena incompatible with this netlist"
-        );
+        let soa = SoaNetlist::build(netlist, topo);
         let mut row_run = vec![0u32; soa.num_rows()];
         for (ri, run) in soa.runs().iter().enumerate() {
             for r in run.rows() {
@@ -201,29 +174,18 @@ impl<'n> DeltaSimulator<'n> {
         self.delta[net.index()]
     }
 
-    /// The packed delta word of a net by raw index — the hot-loop variant
-    /// of [`DeltaSimulator::delta`] for scans over
-    /// [`DeltaSimulator::nonzero_nets`].
-    #[inline]
-    pub fn delta_raw(&self, net: usize) -> u64 {
-        self.delta[net]
-    }
-
     /// One scan of the nonzero frontier accumulating the lane-wise OR of
-    /// deltas into up to three observation groups: bit `k` of `flags[net]`
-    /// routes the net's delta into result `k`.  Every net outside the
-    /// frontier equals golden in all lanes, so the accumulators are exact
-    /// divergence masks for whatever each flag bit marks (primary outputs,
-    /// architectural state, next-cycle flip-flop D inputs, ...).
-    ///
-    /// This is the shared classification scan of the differential campaign
-    /// engine and the fault-space collapsing prober.
+    /// deltas into two observation groups: bit `k` of `flags[net]` routes
+    /// the net's delta into result `k`.  Every net outside the frontier
+    /// equals golden in all lanes, so the accumulators are exact divergence
+    /// masks for whatever each flag bit marks (the differential campaign
+    /// engine marks primary outputs and architectural state).
     ///
     /// # Panics
     ///
     /// Panics if `flags` is shorter than the net count.
-    pub fn scan_flagged(&self, flags: &[u8]) -> [u64; 3] {
-        let mut acc = [0u64; 3];
+    pub fn scan_flagged(&self, flags: &[u8]) -> [u64; 2] {
+        let mut acc = [0u64; 2];
         for &net in &self.nonzero {
             let f = flags[net as usize];
             if f != 0 {
@@ -233,9 +195,6 @@ impl<'n> DeltaSimulator<'n> {
                 }
                 if f & 2 != 0 {
                     acc[1] |= d;
-                }
-                if f & 4 != 0 {
-                    acc[2] |= d;
                 }
             }
         }
@@ -325,7 +284,7 @@ impl<'n> DeltaSimulator<'n> {
             "trace incompatible with this netlist"
         );
         let view = golden.cycle_view(self.cycle as usize);
-        let soa = self.soa.as_ref();
+        let soa = &self.soa;
         let num_rows = soa.num_rows();
         // Adaptive sweep selection.  The event sweep touches roughly
         // `fanout + 1` rows per dirty net at a higher per-row cost than a
@@ -417,7 +376,7 @@ impl<'n> DeltaSimulator<'n> {
     /// that can carry a delta: row outputs and flip-flop Q nets (inputs are
     /// clean by construction).
     fn settle_all_rows(&mut self, view: CycleView<'_>) {
-        let soa = self.soa.as_ref();
+        let soa = &self.soa;
         for run in soa.runs() {
             let tt = run.tt();
             let arity = run.arity();
@@ -458,7 +417,7 @@ impl<'n> DeltaSimulator<'n> {
     /// latch like values).  Only flip-flops adjacent to a dirty net are
     /// touched; call after [`DeltaSimulator::settle`].
     pub fn tick(&mut self) {
-        let soa = self.soa.as_ref();
+        let soa = &self.soa;
         let num_rows = soa.num_rows();
         self.stamp_gen = self.stamp_gen.wrapping_add(1);
         if self.stamp_gen == 0 {
@@ -602,7 +561,7 @@ mod tests {
         masked.retain_lanes(keep);
         // No retired bits survive anywhere, and membership is exact.
         for &net in masked.nonzero_nets() {
-            let d = masked.delta_raw(net as usize);
+            let d = masked.delta(NetId::from_index(net as usize));
             assert_ne!(d, 0);
             assert_eq!(d & !keep, 0);
         }
@@ -613,8 +572,9 @@ mod tests {
         lone.flip_ff(topo.seq_cells()[2], keep_lane);
         lone.settle(&golden);
         for _ in inject..9 {
-            for net in 0..n.num_nets() {
-                assert_eq!(masked.delta_raw(net) & keep, lone.delta_raw(net) & keep);
+            for i in 0..n.num_nets() {
+                let net = NetId::from_index(i);
+                assert_eq!(masked.delta(net) & keep, lone.delta(net) & keep);
             }
             masked.tick();
             lone.tick();
@@ -687,25 +647,6 @@ mod tests {
         delta.tick();
         delta.settle(&golden);
         assert!(delta.quiescent());
-    }
-
-    #[test]
-    fn shared_arena_matches_owned() {
-        let (n, topo, trace) = golden_counter(3, 6);
-        let golden = TransposedTrace::from_trace(&trace);
-        let arena = SoaNetlist::build(&n, &topo);
-        let ff = topo.seq_cells()[0];
-        let mut owned = DeltaSimulator::new(&n, &topo);
-        let mut shared = DeltaSimulator::with_arena(&n, &arena);
-        for sim in [&mut owned, &mut shared] {
-            sim.begin(1);
-            sim.flip_ff(ff, 3);
-            sim.settle(&golden);
-        }
-        for i in 0..n.num_nets() {
-            let net = NetId::from_index(i);
-            assert_eq!(owned.delta(net), shared.delta(net), "net {net}");
-        }
     }
 
     #[test]

@@ -278,36 +278,6 @@ impl TransposedTrace {
         }
     }
 
-    /// Packs the golden values of a net set in one cycle into an exact bit
-    /// key: bit `i % 64` of word `i / 64` is the value of `nets[i]` in
-    /// `cycle`.  `key` is cleared and refilled, so one buffer can be reused
-    /// across calls without reallocating.
-    ///
-    /// This is the fingerprint primitive of the campaign's fault-space
-    /// collapsing layer: two cycles with equal keys over a fault cone's
-    /// support nets present *identical* golden values to the cone, so a
-    /// delta injected in either evolves identically for one cycle.  The key
-    /// is the exact bit vector, not a hash — equality must be sound, since
-    /// a collision would silently misclassify a whole equivalence class.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cycle` or any net index is out of range.
-    pub fn support_key(&self, nets: &[u32], cycle: usize, key: &mut Vec<u64>) {
-        assert!(cycle < self.cycles, "cycle {cycle} beyond trace");
-        let word = cycle / WORD_LANES;
-        let mask = 1u64 << (cycle % WORD_LANES);
-        key.clear();
-        key.resize(nets.len().div_ceil(WORD_LANES), 0);
-        for (i, &net) in nets.iter().enumerate() {
-            let n = net as usize;
-            assert!(n < self.num_nets, "net {net} beyond trace");
-            if self.data[n * self.words_per_net + word] & mask != 0 {
-                key[i / WORD_LANES] |= 1u64 << (i % WORD_LANES);
-            }
-        }
-    }
-
     /// Appends one cycle from row-packed value words (bit `n % 64` of word
     /// `n / 64` is net `n`, the layout of [`WaveTrace::cycle_words`] and
     /// [`mate_netlist::BitSet::as_words`]).  Columns grow geometrically, so
@@ -459,35 +429,6 @@ mod tests {
             t.push_cycle(&bits);
         }
         t
-    }
-
-    #[test]
-    fn support_key_packs_exact_values() {
-        let trace = random_trace(100, 150, 77);
-        let tt = TransposedTrace::from_trace(&trace);
-        // A 70-net support spanning two key words, probed in cycles across
-        // both column words.
-        let nets: Vec<u32> = (0..70).map(|i| (i * 3 % 100) as u32).collect();
-        let mut key = Vec::new();
-        for cycle in [0, 1, 63, 64, 149] {
-            tt.support_key(&nets, cycle, &mut key);
-            assert_eq!(key.len(), 2);
-            for (i, &n) in nets.iter().enumerate() {
-                assert_eq!(
-                    key[i / 64] >> (i % 64) & 1 != 0,
-                    tt.value(cycle, net(n as usize)),
-                    "net {n} cycle {cycle}"
-                );
-            }
-        }
-        // Two cycles with equal keys really do agree on every support net.
-        tt.support_key(&nets, 5, &mut key);
-        let k5 = key.clone();
-        tt.support_key(&nets, 5, &mut key);
-        assert_eq!(k5, key);
-        // Empty support: empty key, reused buffer cleared.
-        tt.support_key(&[], 0, &mut key);
-        assert!(key.is_empty());
     }
 
     #[test]

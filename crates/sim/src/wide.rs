@@ -16,8 +16,6 @@
 //! point).  Lane `l` of a wide run is cycle-for-cycle identical to a scalar
 //! run with the same initial state, stimuli, and flip.
 
-use std::borrow::Cow;
-
 use mate_netlist::prelude::*;
 
 use crate::trace::WaveTrace;
@@ -31,9 +29,8 @@ use crate::trace::WaveTrace;
 pub struct WideSimulator<'n> {
     netlist: &'n Netlist,
     topo: &'n Topology,
-    /// The flattened evaluation schedule (owned by default; share one arena
-    /// across simulators with [`WideSimulator::with_arena`]).
-    soa: Cow<'n, SoaNetlist>,
+    /// The flattened evaluation schedule.
+    soa: SoaNetlist,
     /// One packed word per net; lane `l` is the net's value in scenario `l`.
     values: Vec<u64>,
     settled: bool,
@@ -48,35 +45,11 @@ impl<'n> WideSimulator<'n> {
     /// Creates a wide simulator with every net at `0` in all lanes,
     /// flattening the netlist into its own [`SoaNetlist`] arena.
     pub fn new(netlist: &'n Netlist, topo: &'n Topology) -> Self {
-        Self::from_cow(netlist, topo, Cow::Owned(SoaNetlist::build(netlist, topo)))
-    }
-
-    /// Creates a wide simulator sharing a prebuilt arena (the compile-once
-    /// path: one [`SoaNetlist::build`] serves any number of simulators).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the arena was built for a different netlist shape.
-    pub fn with_arena(netlist: &'n Netlist, topo: &'n Topology, soa: &'n SoaNetlist) -> Self {
-        Self::from_cow(netlist, topo, Cow::Borrowed(soa))
-    }
-
-    fn from_cow(netlist: &'n Netlist, topo: &'n Topology, soa: Cow<'n, SoaNetlist>) -> Self {
-        assert_eq!(
-            soa.num_nets(),
-            netlist.num_nets(),
-            "arena incompatible with this netlist"
-        );
-        assert_eq!(
-            soa.num_cells(),
-            netlist.num_cells(),
-            "arena incompatible with this netlist"
-        );
         Self {
             netlist,
             topo,
             values: vec![0; netlist.num_nets()],
-            soa,
+            soa: SoaNetlist::build(netlist, topo),
             settled: false,
             cycle: 0,
             row_buf: [0; TruthTable::MAX_INPUTS],
@@ -158,7 +131,7 @@ impl<'n> WideSimulator<'n> {
         if self.settled {
             return;
         }
-        let soa = self.soa.as_ref();
+        let soa = &self.soa;
         for run in soa.runs() {
             let tt = run.tt();
             let arity = run.arity();
@@ -187,7 +160,7 @@ impl<'n> WideSimulator<'n> {
         // D/Q index arrays.
         let mut next = std::mem::take(&mut self.latch_scratch);
         next.clear();
-        let soa = self.soa.as_ref();
+        let soa = &self.soa;
         next.extend(soa.ff_d().iter().map(|&d| self.values[d as usize]));
         for (&q, &word) in soa.ff_q().iter().zip(&next) {
             if self.values[q as usize] != word {
@@ -239,24 +212,18 @@ mod tests {
         }
 
         // Seed wide at cycle 2 and advance in lock-step; with no flips all
-        // lanes must reproduce the golden values exactly, with an owned or
-        // a shared prebuilt arena.
-        let arena = SoaNetlist::build(&n, &topo);
-        for mut wide in [
-            WideSimulator::new(&n, &topo),
-            WideSimulator::with_arena(&n, &topo, &arena),
-        ] {
-            wide.load_from_trace(&trace, 2);
-            for cycle in 2..6 {
-                wide.set_input(en, true);
-                wide.settle();
-                for i in 0..n.num_nets() {
-                    let net = NetId::from_index(i);
-                    let expect = if trace.value(cycle, net) { u64::MAX } else { 0 };
-                    assert_eq!(wide.value_word(net), expect, "net {net} cycle {cycle}");
-                }
-                wide.tick();
+        // lanes must reproduce the golden values exactly.
+        let mut wide = WideSimulator::new(&n, &topo);
+        wide.load_from_trace(&trace, 2);
+        for cycle in 2..6 {
+            wide.set_input(en, true);
+            wide.settle();
+            for i in 0..n.num_nets() {
+                let net = NetId::from_index(i);
+                let expect = if trace.value(cycle, net) { u64::MAX } else { 0 };
+                assert_eq!(wide.value_word(net), expect, "net {net} cycle {cycle}");
             }
+            wide.tick();
         }
     }
 
@@ -300,14 +267,5 @@ mod tests {
         let (n, topo) = counter(2);
         let mut wide = WideSimulator::new(&n, &topo);
         wide.flip_ff(topo.seq_cells()[0], 64);
-    }
-
-    #[test]
-    #[should_panic(expected = "arena incompatible")]
-    fn mismatched_arena_panics() {
-        let (n, topo) = counter(2);
-        let (other, other_topo) = counter(5);
-        let arena = SoaNetlist::build(&other, &other_topo);
-        let _ = WideSimulator::with_arena(&n, &topo, &arena);
     }
 }
