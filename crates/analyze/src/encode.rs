@@ -3,8 +3,8 @@
 //! [`FaultConeCnf`] gathers the fault cone of one wire from the
 //! structure-of-arrays arena ([`SoaNetlist::cone_rows`] /
 //! [`SoaNetlist::cone_support`] — deliberately *not* the graph-side
-//! [`mate_netlist::FaultCone`] the enumeration verifier uses, so the two
-//! backends share no cone-extraction code) and compiles two copies of the
+//! [`mate_netlist::FaultCone`] the enumeration oracle uses, so the two
+//! verifiers share no cone-extraction code) and compiles two copies of the
 //! cone into clauses over shared border variables:
 //!
 //! * copy 0 pins the origin wire to `0`, copy 1 pins it to `1` — the two

@@ -9,16 +9,16 @@
 //!   coverage gaps.
 //! * [`verify`] — a MATE soundness verifier that re-proves *MATE ⇒
 //!   single-cycle masking*, sharing zero code with the search-side
-//!   propagation engines.  Two backends: the default
-//!   [`verify::ProofBackend::Sat`] compiles the fault cone to CNF
-//!   ([`encode`]) and decides the masking condition exactly with a
-//!   dependency-free CDCL solver ([`sat`]) whose UNSAT answers are
-//!   resolution-replay-checked and whose models are re-simulated;
-//!   [`verify::ProofBackend::Enumeration`] brute-forces border assignments
-//!   via [`mate_netlist::TruthTable`] cofactoring up to a cap.  Verdicts
-//!   are [`verify::Verdict::Proved`], [`verify::Verdict::Bounded`] (cap or
-//!   conflict budget reached), or [`verify::Verdict::Refuted`] with a
-//!   concrete counterexample.  [`complete`] reuses the solver for the dual
+//!   propagation engines.  It compiles the fault cone to CNF ([`encode`])
+//!   and decides the masking condition exactly with a dependency-free CDCL
+//!   solver ([`sat`]) whose UNSAT answers are resolution-replay-checked and
+//!   whose models are re-simulated.  Verdicts are
+//!   [`verify::Verdict::Proved`], [`verify::Verdict::Bounded`] (conflict
+//!   budget reached), or [`verify::Verdict::Refuted`] with a concrete
+//!   counterexample.  [`verify::verify_mate_wire_enum`], which
+//!   brute-forces border assignments via [`mate_netlist::TruthTable`]
+//!   cofactoring up to a cap, is kept as the test oracle the solver is
+//!   compared against.  [`complete`] reuses the solver for the dual
 //!   question — per-wire proofs that the selected MATE set covers every
 //!   benign fault point.
 //!
@@ -60,5 +60,5 @@ pub use sat::{Lit, SatOutcome, SolveStats, Solver};
 pub use verify::{
     count_verdicts, render_verdicts_json, render_verdicts_text, verify_mate_wire,
     verify_mate_wire_enum, verify_mate_wire_sat, verify_mates, Counterexample, MateVerdict,
-    ProofBackend, Verdict, VerdictCounts, VerifyConfig,
+    Verdict, VerdictCounts, VerifyConfig,
 };

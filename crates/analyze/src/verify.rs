@@ -3,26 +3,24 @@
 //! A MATE for wire `w` claims: *whenever the MATE cube holds in a clock
 //! cycle, a single-event upset on `w` in that cycle is masked before it
 //! reaches any flip-flop input or primary output*.  This module re-proves
-//! that claim with one of two engines, both sharing **zero** code with the
-//! propagation engines that produced the MATE (`mate::search` /
-//! `mate::propagate`):
+//! that claim sharing **zero** code with the propagation engines that
+//! produced the MATE (`mate::search` / `mate::propagate`): it compiles the
+//! fault cone to CNF ([`crate::encode`]) and decides the masking condition
+//! exactly with the CDCL solver in [`crate::sat`].  Every verdict is a
+//! certificate ([`Verdict::Proved`] carries a replay-checked UNSAT answer,
+//! [`Verdict::Refuted`] a re-simulated model) unless the conflict budget
+//! fires.
 //!
-//! * [`ProofBackend::Sat`] (the default): compile the fault cone to CNF
-//!   ([`crate::encode`]) and decide the masking condition exactly with the
-//!   CDCL solver in [`crate::sat`] — every verdict is a certificate
-//!   ([`Verdict::Proved`] carries a replay-checked UNSAT answer,
-//!   [`Verdict::Refuted`] a re-simulated model) unless the conflict budget
-//!   fires.
-//! * [`ProofBackend::Enumeration`]: brute force, as follows.
+//! [`verify_mate_wire_enum`] is the test oracle the solver is compared
+//! against; no configuration selects it.  It brute-forces the claim:
 //!
 //! 1. Rebuild the fault cone of `w` and its border wires.
 //! 2. Specialize every cone gate by [`TruthTable::cofactor`]-ing out the
 //!    border pins the cube pins to constants.
-//! 3. Enumerate all remaining free border-wire assignments (up to a
-//!    configurable cap, 64 assignments per word via
-//!    [`TruthTable::eval_wide`]); for each assignment consistent with the
-//!    cube, require every cone endpoint to take the same value for both
-//!    origin polarities.
+//! 3. Enumerate all remaining free border-wire assignments (up to a cap,
+//!    64 assignments per word via [`TruthTable::eval_wide`]); for each
+//!    assignment consistent with the cube, require every cone endpoint to
+//!    take the same value for both origin polarities.
 //!
 //! The proof obligation is checked against the *fault-free* circuit
 //! semantics: for origin value `o` and border assignment `B`, the cube must
@@ -44,53 +42,20 @@ use mate_netlist::{
 use crate::encode::{FaultConeCnf, MateProof};
 use crate::sat::SolveStats;
 
-/// Which engine decides the masking condition.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ProofBackend {
-    /// Exhaustive enumeration of free border assignments, up to
-    /// [`VerifyConfig::max_assignments`].  Spaces beyond the cap come back
-    /// [`Verdict::Bounded`] — a sample, not a certificate.
-    Enumeration,
-    /// The CDCL SAT backend ([`crate::sat`] + [`crate::encode`]): decides
-    /// the full space exactly, so every verdict is [`Verdict::Proved`] or
-    /// [`Verdict::Refuted`] unless the conflict budget fires
-    /// ([`Verdict::Bounded`] then records the spent conflicts in the
-    /// verdict's [`MateVerdict::stats`]).
-    Sat,
-}
-
-impl ProofBackend {
-    /// Lower-case label used by the CLI, artifacts, and fingerprints.
-    pub fn label(self) -> &'static str {
-        match self {
-            ProofBackend::Enumeration => "enum",
-            ProofBackend::Sat => "sat",
-        }
-    }
-}
-
-/// Engine selection and limits for [`verify_mate_wire`] / [`verify_mates`].
+/// Limits for [`verify_mate_wire`] / [`verify_mates`].
 #[derive(Clone, Copy, Debug)]
 pub struct VerifyConfig {
-    /// Maximum number of border assignments enumerated per (MATE, wire)
-    /// pair under [`ProofBackend::Enumeration`].  Cones whose free border
-    /// exceeds `log2(max_assignments)` wires come back
-    /// [`Verdict::Bounded`].
-    pub max_assignments: u64,
     /// Worker threads for [`verify_mates`]; `0` means all available cores.
     pub threads: usize,
-    /// The proof engine.
-    pub backend: ProofBackend,
-    /// Conflict budget per solver call under [`ProofBackend::Sat`].
+    /// Conflict budget per solver call; a call that exhausts it comes back
+    /// [`Verdict::Bounded`].
     pub conflict_budget: u64,
 }
 
 impl Default for VerifyConfig {
     fn default() -> Self {
         Self {
-            max_assignments: 1 << 20,
             threads: 0,
-            backend: ProofBackend::Sat,
             conflict_budget: 1_000_000,
         }
     }
@@ -117,9 +82,10 @@ pub enum Verdict {
         /// Number of assignments enumerated (the full space).
         checked: u64,
     },
-    /// No violation found, but the space was not decided: the enumeration
-    /// cap truncated it, or the SAT backend's conflict budget fired (then
-    /// `checked` is 0 and [`MateVerdict::stats`] records the effort).
+    /// No violation found, but the space was not decided: the solver's
+    /// conflict budget fired (then `checked` is 0 and
+    /// [`MateVerdict::stats`] records the effort), or the enumeration
+    /// oracle's cap truncated it.
     Bounded {
         /// Number of assignments enumerated.
         checked: u64,
@@ -151,10 +117,9 @@ pub struct MateVerdict {
     pub wire: NetId,
     /// The verification outcome.
     pub verdict: Verdict,
-    /// Solver counters under [`ProofBackend::Sat`]; `None` under
-    /// enumeration.  Deterministic (no wall time), so verdict lists stay
-    /// bit-identical across runs and thread counts.
-    pub stats: Option<SolveStats>,
+    /// Solver counters.  Deterministic (no wall time), so verdict lists
+    /// stay bit-identical across runs and thread counts.
+    pub stats: SolveStats,
 }
 
 /// Proved / Bounded / Refuted counts over a verdict list.
@@ -162,7 +127,7 @@ pub struct MateVerdict {
 pub struct VerdictCounts {
     /// Pairs proved over the full assignment space.
     pub proved: usize,
-    /// Pairs clean up to the cap.
+    /// Pairs left undecided.
     pub bounded: usize,
     /// Unsound pairs.
     pub refuted: usize,
@@ -203,12 +168,10 @@ const LANE_WORDS: [u64; 6] = [
     0xFFFF_FFFF_0000_0000,
 ];
 
-/// Verifies that `cube` masks a fault on `wire` within one clock cycle,
-/// dispatching on [`VerifyConfig::backend`].
+/// Verifies that `cube` masks a fault on `wire` within one clock cycle.
 ///
-/// Under [`ProofBackend::Sat`] this builds a fresh [`SoaNetlist`] per call;
-/// batch callers should prefer [`verify_mates`], which builds the arena
-/// once.
+/// This builds a fresh [`SoaNetlist`] per call; batch callers should
+/// prefer [`verify_mates`], which builds the arena once.
 pub fn verify_mate_wire(
     netlist: &Netlist,
     topo: &Topology,
@@ -216,13 +179,8 @@ pub fn verify_mate_wire(
     cube: &NetCube,
     config: &VerifyConfig,
 ) -> Verdict {
-    match config.backend {
-        ProofBackend::Enumeration => verify_mate_wire_enum(netlist, topo, wire, cube, config),
-        ProofBackend::Sat => {
-            let soa = SoaNetlist::build(netlist, topo);
-            verify_mate_wire_sat(netlist, &soa, wire, cube, config.conflict_budget).0
-        }
-    }
+    let soa = SoaNetlist::build(netlist, topo);
+    verify_mate_wire_sat(netlist, &soa, wire, cube, config.conflict_budget).0
 }
 
 /// The SAT proof path for one (MATE, wire) pair: compiles the fault cone
@@ -257,13 +215,18 @@ pub fn verify_mate_wire_sat(
 }
 
 /// Verifies that `cube` masks a fault on `wire` within one clock cycle, by
-/// exhaustive enumeration over the fault cone's border assignments.
+/// exhaustive enumeration of at most `cap` of the fault cone's free border
+/// assignments; a larger space comes back [`Verdict::Bounded`].
+///
+/// The test oracle of the SAT path ([`verify_mate_wire_sat`]): it shares
+/// neither the cone encoding nor the solver, so agreement between the two
+/// is evidence for both.  Production verification never runs it.
 pub fn verify_mate_wire_enum(
     netlist: &Netlist,
     topo: &Topology,
     wire: NetId,
     cube: &NetCube,
-    config: &VerifyConfig,
+    cap: u64,
 ) -> Verdict {
     let cone = FaultCone::compute(netlist, topo, wire);
     let border = cone.border_nets(netlist);
@@ -327,7 +290,7 @@ pub fn verify_mate_wire_enum(
     endpoint_nets.dedup();
 
     // Assignment space: `free.len()` wires, capped.
-    let cap = config.max_assignments.max(1);
+    let cap = cap.max(1);
     let total: u64 = if free.len() >= 63 {
         u64::MAX
     } else {
@@ -456,12 +419,9 @@ pub fn verify_mates(
     }
     .min(tasks.len().max(1));
 
-    // The SAT backend reads the cone out of the arena; build it once and
-    // share it read-only across the workers.
-    let soa = match config.backend {
-        ProofBackend::Sat => Some(SoaNetlist::build(netlist, topo)),
-        ProofBackend::Enumeration => None,
-    };
+    // The encoder reads the cone out of the arena; build it once and share
+    // it read-only across the workers.
+    let soa = SoaNetlist::build(netlist, topo);
 
     let next = AtomicUsize::new(0);
     let results: Mutex<Vec<MateVerdict>> = Mutex::new(Vec::with_capacity(tasks.len()));
@@ -474,22 +434,13 @@ pub fn verify_mates(
                     let Some(&(mate_index, wire, mate)) = tasks.get(i) else {
                         break;
                     };
-                    let (verdict, stats) = match &soa {
-                        Some(soa) => {
-                            let (v, s) = verify_mate_wire_sat(
-                                netlist,
-                                soa,
-                                wire,
-                                &mate.cube,
-                                config.conflict_budget,
-                            );
-                            (v, Some(s))
-                        }
-                        None => (
-                            verify_mate_wire_enum(netlist, topo, wire, &mate.cube, config),
-                            None,
-                        ),
-                    };
+                    let (verdict, stats) = verify_mate_wire_sat(
+                        netlist,
+                        &soa,
+                        wire,
+                        &mate.cube,
+                        config.conflict_budget,
+                    );
                     local.push(MateVerdict {
                         mate_index,
                         wire,
@@ -523,18 +474,11 @@ pub fn render_verdicts_text(netlist: &Netlist, verdicts: &[MateVerdict]) -> Stri
                     v.mate_index
                 ));
             }
-            Verdict::Bounded { checked } => {
-                if let Some(stats) = &v.stats {
-                    out.push_str(&format!(
-                        "bounded mate {} wire {wire}: undecided after {} conflicts\n",
-                        v.mate_index, stats.conflicts
-                    ));
-                } else {
-                    out.push_str(&format!(
-                        "bounded mate {} wire {wire}: clean up to {checked} assignments\n",
-                        v.mate_index
-                    ));
-                }
+            Verdict::Bounded { .. } => {
+                out.push_str(&format!(
+                    "bounded mate {} wire {wire}: undecided after {} conflicts\n",
+                    v.mate_index, v.stats.conflicts
+                ));
             }
             Verdict::Refuted { counterexample } => {
                 let assign = counterexample
@@ -588,13 +532,12 @@ pub fn render_verdicts_json(netlist: &Netlist, verdicts: &[MateVerdict]) -> Stri
                 )
             }
         };
-        let stats = v.stats.map_or(String::new(), |s| {
-            format!(
-                ",\"solver\":{{\"conflicts\":{},\"decisions\":{},\"propagations\":{},\
-                 \"learned\":{},\"restarts\":{}}}",
-                s.conflicts, s.decisions, s.propagations, s.learned, s.restarts
-            )
-        });
+        let s = v.stats;
+        let stats = format!(
+            ",\"solver\":{{\"conflicts\":{},\"decisions\":{},\"propagations\":{},\
+             \"learned\":{},\"restarts\":{}}}",
+            s.conflicts, s.decisions, s.propagations, s.learned, s.restarts
+        );
         out.push_str(&format!(
             "  {{\"mate\":{},\"wire\":\"{}\",\"verdict\":\"{}\",{}{}}}{}\n",
             v.mate_index,

@@ -1,14 +1,11 @@
-//! The SAT proof backend must agree with the exhaustive enumeration
-//! verifier on every certificate it issues: proved MATEs carry the same
-//! space size, refuted MATEs carry a counterexample that the enum path
-//! reproduces exactly, and a hand-corrupted MATE is refuted by both
-//! backends with matching witnesses.
+//! The SAT proof path must agree with the exhaustive enumeration oracle on
+//! every certificate it issues: proved MATEs carry the same space size,
+//! refuted MATEs carry a counterexample that the enum path reproduces
+//! exactly, and a hand-corrupted MATE is refuted by both with matching
+//! witnesses.
 
 use mate::prelude::*;
-use mate_analyze::{
-    verify_mate_wire_enum, verify_mate_wire_sat, Counterexample, ProofBackend, Verdict,
-    VerifyConfig,
-};
+use mate_analyze::{verify_mate_wire_enum, verify_mate_wire_sat, Counterexample, Verdict};
 use mate_netlist::examples::{figure1, figure1b};
 use mate_netlist::{NetCube, NetId, Netlist, SoaNetlist, Topology};
 
@@ -25,16 +22,9 @@ fn corrupt(cube: &NetCube) -> NetCube {
     .expect("flipping one literal keeps the cube consistent")
 }
 
-/// Enum config with a cap large enough that nothing in these fixtures is
-/// ever `Bounded`.
-fn enum_config() -> VerifyConfig {
-    VerifyConfig {
-        max_assignments: 1 << 20,
-        threads: 1,
-        backend: ProofBackend::Enumeration,
-        ..VerifyConfig::default()
-    }
-}
+/// Enumeration cap large enough that nothing in these fixtures is ever
+/// `Bounded`.
+const ENUM_CAP: u64 = 1 << 20;
 
 /// Replays a SAT counterexample through the enumeration path: the cube
 /// strengthened with the full witness assignment pins every border wire,
@@ -50,7 +40,7 @@ fn enum_reproduces(
     let strengthened =
         NetCube::from_literals(cube.literals().chain(witness.assignment.iter().copied()))
             .expect("a satisfying witness cannot contradict its own cube");
-    let verdict = verify_mate_wire_enum(n, topo, wire, &strengthened, &enum_config());
+    let verdict = verify_mate_wire_enum(n, topo, wire, &strengthened, ENUM_CAP);
     let Verdict::Refuted { counterexample } = verdict else {
         panic!("SAT witness must escape under enumeration, got {verdict:?}");
     };
@@ -64,7 +54,7 @@ fn proved_certificates_cover_the_same_space_as_enumeration() {
         for &wire in &ff_wires(&n, &topo) {
             let result = search_wire(&n, &topo, wire, &SearchConfig::default());
             for mate in &result.mates {
-                let enum_v = verify_mate_wire_enum(&n, &topo, wire, &mate.cube, &enum_config());
+                let enum_v = verify_mate_wire_enum(&n, &topo, wire, &mate.cube, ENUM_CAP);
                 let (sat_v, stats) = verify_mate_wire_sat(&n, &soa, wire, &mate.cube, 1_000_000);
                 let Verdict::Proved { checked: want } = enum_v else {
                     panic!("searched MATE must verify exhaustively, got {enum_v:?}");
@@ -110,7 +100,7 @@ fn corrupted_figure1_mate_refuted_by_both_backends_with_matching_witnesses() {
     let result = search_wire(&n, &topo, d, &SearchConfig::default());
     let bad = corrupt(&result.mates[0].cube);
 
-    let enum_v = verify_mate_wire_enum(&n, &topo, d, &bad, &enum_config());
+    let enum_v = verify_mate_wire_enum(&n, &topo, d, &bad, ENUM_CAP);
     let (sat_v, stats) = verify_mate_wire_sat(&n, &soa, d, &bad, 1_000_000);
 
     let Verdict::Refuted {

@@ -1,7 +1,8 @@
-//! Equivalence of the two proof backends on random seeded circuits: on
-//! every cone with at most 16 free border wires, the CDCL verdict must
-//! match exhaustive enumeration — UNSAT ⇔ no escaping assignment exists,
-//! SAT ⇔ one does (and the decoded model escapes under enumeration too).
+//! Equivalence of the SAT proof path and the enumeration oracle on random
+//! seeded circuits: on every cone with at most 16 free border wires, the
+//! CDCL verdict must match exhaustive enumeration — UNSAT ⇔ no escaping
+//! assignment exists, SAT ⇔ one does (and the decoded model escapes under
+//! enumeration too).
 //! The SAT batch verifier must also stay bit-identical across thread
 //! counts.
 
@@ -10,7 +11,7 @@ use proptest::prelude::*;
 use mate::prelude::*;
 use mate_analyze::{
     render_verdicts_json, verify_mate_wire_enum, verify_mate_wire_sat, verify_mates, FaultConeCnf,
-    ProofBackend, Verdict, VerifyConfig,
+    Verdict, VerifyConfig,
 };
 use mate_netlist::random::{random_circuit, RandomCircuitConfig};
 use mate_netlist::{NetCube, SoaNetlist};
@@ -32,14 +33,8 @@ fn corrupt(cube: &NetCube) -> NetCube {
     .expect("flipping one literal keeps the cube consistent")
 }
 
-fn enum_config() -> VerifyConfig {
-    VerifyConfig {
-        max_assignments: 1 << MAX_FREE,
-        threads: 1,
-        backend: ProofBackend::Enumeration,
-        ..VerifyConfig::default()
-    }
-}
+/// Enumeration cap covering every admitted cone exactly.
+const ENUM_CAP: u64 = 1 << MAX_FREE;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
@@ -64,7 +59,7 @@ proptest! {
                     if cnf.free_border(&cube) > MAX_FREE {
                         continue;
                     }
-                    let enum_v = verify_mate_wire_enum(&n, &topo, wire, &cube, &enum_config());
+                    let enum_v = verify_mate_wire_enum(&n, &topo, wire, &cube, ENUM_CAP);
                     let (sat_v, _) = verify_mate_wire_sat(&n, &soa, wire, &cube, 1_000_000);
                     match (&enum_v, &sat_v) {
                         // UNSAT ⇔ the whole space masks, same space size.
@@ -83,7 +78,7 @@ proptest! {
                             )
                             .expect("witness cannot contradict its cube");
                             let replay =
-                                verify_mate_wire_enum(&n, &topo, wire, &pinned, &enum_config());
+                                verify_mate_wire_enum(&n, &topo, wire, &pinned, ENUM_CAP);
                             let Verdict::Refuted { counterexample: again } = replay else {
                                 return Err(TestCaseError::Fail(format!(
                                     "SAT witness does not escape under enumeration: {replay:?}"
@@ -93,7 +88,7 @@ proptest! {
                         }
                         _ => {
                             return Err(TestCaseError::Fail(format!(
-                                "backend disagreement on wire {wire:?}: \
+                                "SAT/enumeration disagreement on wire {wire:?}: \
                                  enum {enum_v:?} vs sat {sat_v:?}"
                             )));
                         }

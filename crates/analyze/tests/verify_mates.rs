@@ -1,11 +1,11 @@
-//! The enumeration verifier must prove the paper's MATEs, refute corrupted
-//! ones with a concrete counterexample, respect the assignment cap, and
-//! produce byte-stable output for any thread count.
+//! The verifier must prove the paper's MATEs, refute corrupted ones with a
+//! concrete counterexample, and produce byte-stable output for any thread
+//! count; the enumeration oracle must respect its assignment cap.
 
 use mate::prelude::*;
 use mate_analyze::{
-    count_verdicts, render_verdicts_json, verify_mate_wire, verify_mates, ProofBackend, Verdict,
-    VerifyConfig,
+    count_verdicts, render_verdicts_json, verify_mate_wire, verify_mate_wire_enum, verify_mates,
+    Verdict, VerifyConfig,
 };
 use mate_netlist::examples::{figure1, figure1b};
 use mate_netlist::NetCube;
@@ -77,13 +77,7 @@ fn cap_below_space_size_yields_bounded() {
     let d = n.find_net("d").expect("figure1 has wire d");
     let result = search_wire(&n, &topo, d, &SearchConfig::default());
 
-    let config = VerifyConfig {
-        max_assignments: 1,
-        threads: 1,
-        backend: ProofBackend::Enumeration,
-        ..VerifyConfig::default()
-    };
-    let verdict = verify_mate_wire(&n, &topo, d, &result.mates[0].cube, &config);
+    let verdict = verify_mate_wire_enum(&n, &topo, d, &result.mates[0].cube, 1);
     // One free border wire -> 2 assignments total, capped at 1.
     assert_eq!(verdict, Verdict::Bounded { checked: 1 });
 }

@@ -1,20 +1,20 @@
-//! MATE-search throughput: from-scratch reference trust propagation vs. the
-//! scratch/memoized/incremental engine, per strategy, on the AVR and MSP430
-//! cores.
+//! MATE-search throughput of the production engine (incremental
+//! trust propagation over a reusable scratch), per strategy, on the AVR and
+//! MSP430 cores.
 //!
 //! Besides the criterion reporting, the bench emits a machine-readable
-//! `BENCH_search.json` at the workspace root.  The optimized engine is
-//! asserted bit-identical to the reference — per wire: MATEs, candidate
-//! counts, unmaskable verdicts — before any timing starts, and both engines
-//! are timed on a single thread so the speedup measures the propagation
-//! engine, not the scheduler.  `host_cpus` is recorded for honesty even
-//! though the timed runs do not use the extra cores.
+//! `BENCH_search.json` at the workspace root.  The search is timed on a
+//! single thread so the rate measures the propagation engine, not the
+//! scheduler; `host_cpus` is recorded for honesty even though the timed
+//! runs do not use the extra cores.  The from-scratch reference engine is
+//! compared against this search by the `mate` crate's unit tests, not
+//! here.
 
 use std::time::Instant;
 
 use criterion::{is_quick_test, Criterion, Throughput};
 
-use mate::{ff_wires, search_design, PropagationMode, SearchConfig, SearchStrategy};
+use mate::{ff_wires, search_design, SearchConfig, SearchStrategy};
 use mate_cores::{AvrSystem, Msp430System};
 use mate_netlist::{NetId, Netlist, Topology};
 use mate_pipeline::ENGINE_LAYOUT_VERSION;
@@ -35,21 +35,15 @@ struct StrategyMeasured {
     wires: usize,
     candidates: u64,
     mates: usize,
-    reference_cps: f64,
-    optimized_cps: f64,
+    candidates_per_sec: f64,
 }
 
-fn bench_config(
-    strategy: SearchStrategy,
-    propagation: PropagationMode,
-    quick: bool,
-) -> SearchConfig {
+fn bench_config(strategy: SearchStrategy, quick: bool) -> SearchConfig {
     SearchConfig {
         max_terms: if quick { 4 } else { 8 },
         max_candidates: if quick { 100 } else { 2_000 },
         threads: 1,
         strategy,
-        propagation,
         ..SearchConfig::default()
     }
 }
@@ -67,64 +61,28 @@ fn measure_design(
         ("repair", SearchStrategy::Repair),
         ("exhaustive", SearchStrategy::Exhaustive),
     ] {
-        let reference_cfg = bench_config(strategy, PropagationMode::Reference, quick);
-        let optimized_cfg = bench_config(strategy, PropagationMode::Optimized, quick);
-
-        // Equivalence gate: the optimized engine must reproduce the
-        // reference bit for bit before its speed means anything.
-        let reference = search_design(netlist, topo, wires, &reference_cfg);
-        let optimized = search_design(netlist, topo, wires, &optimized_cfg);
-        assert_eq!(
-            reference.results.len(),
-            optimized.results.len(),
-            "{name}/{label}: wire counts diverge"
-        );
-        for (r, o) in reference.results.iter().zip(&optimized.results) {
-            assert_eq!(r.wire, o.wire, "{name}/{label}: wire order diverges");
-            assert_eq!(
-                r.mates, o.mates,
-                "{name}/{label}: MATEs diverge on {:?}",
-                r.wire
-            );
-            assert_eq!(
-                r.candidates_tried, o.candidates_tried,
-                "{name}/{label}: candidate counts diverge on {:?}",
-                r.wire
-            );
-            assert_eq!(
-                r.unmaskable, o.unmaskable,
-                "{name}/{label}: unmaskable verdicts diverge on {:?}",
-                r.wire
-            );
-        }
-        let candidates = reference.stats.candidates;
+        let config = bench_config(strategy, quick);
+        let stats = search_design(netlist, topo, wires, &config).stats;
 
         let group_name = format!("search_{name}_{label}");
         let mut group = c.benchmark_group(&group_name);
         group.sample_size(10);
-        group.throughput(Throughput::Elements(candidates));
-        group.bench_function("reference", |b| {
-            b.iter(|| search_design(netlist, topo, wires, &reference_cfg))
-        });
+        group.throughput(Throughput::Elements(stats.candidates));
         group.bench_function("optimized", |b| {
-            b.iter(|| search_design(netlist, topo, wires, &optimized_cfg))
+            b.iter(|| search_design(netlist, topo, wires, &config))
         });
         group.finish();
 
         let reps = if quick { 1 } else { 3 };
-        let reference_s = best_secs(reps, || {
-            search_design(netlist, topo, wires, &reference_cfg);
-        });
-        let optimized_s = best_secs(reps, || {
-            search_design(netlist, topo, wires, &optimized_cfg);
+        let secs = best_secs(reps, || {
+            search_design(netlist, topo, wires, &config);
         });
         measured.push(StrategyMeasured {
             strategy: label,
             wires: wires.len(),
-            candidates,
-            mates: reference.stats.num_mates,
-            reference_cps: candidates as f64 / reference_s,
-            optimized_cps: candidates as f64 / optimized_s,
+            candidates: stats.candidates,
+            mates: stats.num_mates,
+            candidates_per_sec: stats.candidates as f64 / secs,
         });
     }
     measured
@@ -136,15 +94,8 @@ fn json_block(name: &str, measured: &[StrategyMeasured]) -> String {
         .map(|m| {
             format!(
                 "    {{\"strategy\": \"{}\", \"wires\": {}, \"candidates\": {}, \"mates\": {}, \
-                 \"reference_candidates_per_sec\": {:.1}, \"optimized_candidates_per_sec\": {:.1}, \
-                 \"speedup\": {:.2}}}",
-                m.strategy,
-                m.wires,
-                m.candidates,
-                m.mates,
-                m.reference_cps,
-                m.optimized_cps,
-                m.optimized_cps / m.reference_cps,
+                 \"optimized_candidates_per_sec\": {:.1}}}",
+                m.strategy, m.wires, m.candidates, m.mates, m.candidates_per_sec,
             )
         })
         .collect();
@@ -154,11 +105,9 @@ fn json_block(name: &str, measured: &[StrategyMeasured]) -> String {
 fn write_json(host_cpus: usize, avr: &[StrategyMeasured], msp: &[StrategyMeasured]) {
     let out = format!(
         "{{\n  \"bench\": \"search\",\n  \"host_cpus\": {host_cpus},\n  \
-         \"engine_layout_version\": {ENGINE_LAYOUT_VERSION},\n  \"lane_width\": 1,\n  \
-         \"note\": \"single-thread timings; the optimized engine gathers cone geometry from \
-         the SoA arena but propagates scalar ternary states (lane width 1); asserted \
-         bit-identical to the reference (per-wire MATEs, candidate counts, unmaskable \
-         verdicts) before timing\",\n\
+         \"engine_layout_version\": {ENGINE_LAYOUT_VERSION},\n  \
+         \"note\": \"single-thread best-of-3 timings of the production search (incremental \
+         trust propagation over the SoA arena), max_terms 8, max_candidates 2000 per wire\",\n\
          {},\n{}\n}}\n",
         json_block("avr", avr),
         json_block("msp430", msp),
@@ -194,20 +143,12 @@ fn main() {
         quick,
     );
 
-    let host_cpus = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
+    let host_cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     for (name, measured) in [("avr", &avr_m), ("msp430", &msp_m)] {
         for m in measured.iter() {
             eprintln!(
-                "{name}/{}: {} wires, {} candidates — reference {:.0} cand/s, optimized {:.0} \
-                 cand/s, speedup {:.1}x",
-                m.strategy,
-                m.wires,
-                m.candidates,
-                m.reference_cps,
-                m.optimized_cps,
-                m.optimized_cps / m.reference_cps
+                "{name}/{}: {} wires, {} candidates — {:.0} cand/s",
+                m.strategy, m.wires, m.candidates, m.candidates_per_sec
             );
         }
     }

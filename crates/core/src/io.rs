@@ -45,13 +45,48 @@ fn write_mates_io(netlist: &Netlist, mates: &MateSet, mut out: impl Write) -> st
 }
 
 /// Reads a MATE set written by [`write_mates`], resolving net names against
-/// `netlist`.
+/// `netlist`, and summarizes it ([`crate::summarize`] order, repeated cubes
+/// merged).
 ///
 /// # Errors
 ///
 /// Returns [`MateError`] on I/O problems, malformed lines, or names the
 /// netlist does not contain.
 pub fn read_mates(netlist: &Netlist, input: impl BufRead) -> Result<MateSet, MateError> {
+    let lines = parse_mates(netlist, input)?;
+    Ok(crate::mates::summarize(
+        lines.into_iter().map(|(_, mate)| mate),
+    ))
+}
+
+/// Reads a MATE set written by [`write_mates`] in file order, so every set
+/// `write_mates` can write — a ranked top-N subset included — reads back
+/// exactly.
+///
+/// # Errors
+///
+/// Like [`read_mates`]; a cube that appears on two lines is a
+/// [`MateError::MateFormat`] error.
+pub fn read_mates_in_order(netlist: &Netlist, input: impl BufRead) -> Result<MateSet, MateError> {
+    let mut seen = std::collections::HashSet::new();
+    let mut mates = Vec::new();
+    for (line, mut mate) in parse_mates(netlist, input)? {
+        if !seen.insert(mate.cube.clone()) {
+            return Err(MateError::MateFormat {
+                line,
+                message: "repeated cube".to_owned(),
+            });
+        }
+        mate.masked.sort();
+        mate.masked.dedup();
+        mates.push(mate);
+    }
+    Ok(MateSet::from_mates(mates))
+}
+
+/// The MATEs of a `mate-set v1` text with their line numbers, in file
+/// order.
+fn parse_mates(netlist: &Netlist, input: impl BufRead) -> Result<Vec<(usize, Mate)>, MateError> {
     let mut mates = Vec::new();
     for (idx, line) in input.lines().enumerate() {
         let line = line.map_err(|e| MateError::io("mate-set input", e))?;
@@ -106,9 +141,9 @@ pub fn read_mates(netlist: &Netlist, input: impl BufRead) -> Result<MateSet, Mat
                 message: "a MATE must mask at least one wire".to_owned(),
             });
         }
-        mates.push(Mate { cube, masked });
+        mates.push((line_no, Mate { cube, masked }));
     }
-    Ok(crate::mates::summarize(mates))
+    Ok(mates)
 }
 
 #[cfg(test)]
@@ -127,6 +162,32 @@ mod tests {
         write_mates(&n, &mates, &mut buf).unwrap();
         let back = read_mates(&n, BufReader::new(buf.as_slice())).unwrap();
         assert_eq!(back, mates);
+    }
+
+    #[test]
+    fn ranked_subset_roundtrips_in_order() {
+        let (n, topo) = mate_netlist::examples::figure1b();
+        let wires = crate::ff_wires(&n, &topo);
+        let mates = search_design(&n, &topo, &wires, &SearchConfig::default()).into_mate_set();
+        assert!(mates.len() >= 2);
+        // Reversed: not the summarized order.
+        let indices: Vec<usize> = (0..mates.len()).rev().collect();
+        let ranked = mates.subset(&indices);
+        let mut buf = Vec::new();
+        write_mates(&n, &ranked, &mut buf).unwrap();
+        let back = read_mates_in_order(&n, BufReader::new(buf.as_slice())).unwrap();
+        assert_eq!(back, ranked);
+        assert_eq!(
+            read_mates(&n, BufReader::new(buf.as_slice())).unwrap(),
+            mates
+        );
+
+        let text = "# mate-set v1\n!a :: b\n\n!a :: c\n";
+        let err = read_mates_in_order(&n, BufReader::new(text.as_bytes())).unwrap_err();
+        assert!(
+            matches!(err, MateError::MateFormat { line: 4, .. }),
+            "{err}"
+        );
     }
 
     #[test]

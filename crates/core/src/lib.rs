@@ -53,16 +53,15 @@ pub mod select;
 
 pub use eval::{evaluate, evaluate_scalar, evaluate_transposed, EvalReport, PruneMatrix};
 pub use gmt::GmtCache;
-pub use io::{read_mates, write_mates};
+pub use io::{read_mates, read_mates_in_order, write_mates};
 pub use mate_netlist::MateError;
 pub use mates::{summarize, Mate, MateSet};
 pub use multi::{search_wire_set, search_wire_sets, MultiMate, MultiSearchResult};
 pub use paths::{enumerate_paths, PathSet};
 pub use propagate::{ConeSession, Mark, PropagationScratch};
 pub use search::{
-    cube_masks_wire, propagate_cube_reference, search_design, search_wire, search_wire_cached,
-    search_wire_scratch, PropagationMode, PropagationOutcome, SearchConfig, SearchStats,
-    SearchStrategy, WireSearchResult,
+    cube_masks_wire, propagate_cube_reference, search_design, search_wire, PropagationOutcome,
+    SearchConfig, SearchStats, SearchStrategy, WireSearchResult,
 };
 pub use select::{rank, rank_eager, rank_transposed, select_top_n, Ranking};
 
@@ -74,8 +73,7 @@ pub mod prelude {
     pub use crate::paths::{enumerate_paths, PathSet};
     pub use crate::propagate::PropagationScratch;
     pub use crate::search::{
-        search_design, search_wire, PropagationMode, SearchConfig, SearchStats, SearchStrategy,
-        WireSearchResult,
+        search_design, search_wire, SearchConfig, SearchStats, SearchStrategy, WireSearchResult,
     };
     pub use crate::select::{rank, select_top_n, Ranking};
     pub use crate::{ff_wires, ff_wires_filtered};

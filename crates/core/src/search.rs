@@ -29,8 +29,6 @@ pub struct SearchConfig {
     pub threads: usize,
     /// How MATE candidates are constructed.
     pub strategy: SearchStrategy,
-    /// Which trust-propagation engine verifies candidates.
-    pub propagation: PropagationMode,
 }
 
 /// Candidate-construction strategies.
@@ -49,23 +47,6 @@ pub enum SearchStrategy {
     Repair,
 }
 
-/// Which trust-propagation engine decides candidate verdicts.
-///
-/// Both engines return bit-identical results (proptest-enforced by
-/// `tests/search_equiv.rs`); the reference is kept as the executable
-/// specification and as the baseline of `benches/search.rs`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum PropagationMode {
-    /// Per-candidate from-scratch propagation: fresh bit set + hash map per
-    /// candidate, free-assignment re-enumeration per gate.
-    Reference,
-    /// Reusable [`PropagationScratch`]: dense generation-stamped state,
-    /// memoized gate outcomes, incremental re-propagation along repair
-    /// branches.
-    #[default]
-    Optimized,
-}
-
 impl Default for SearchConfig {
     fn default() -> Self {
         Self {
@@ -75,7 +56,6 @@ impl Default for SearchConfig {
             max_paths: 4096,
             threads: 0,
             strategy: SearchStrategy::Repair,
-            propagation: PropagationMode::Optimized,
         }
     }
 }
@@ -167,31 +147,42 @@ pub fn search_wire(
     wire: NetId,
     config: &SearchConfig,
 ) -> WireSearchResult {
-    let cache = GmtCache::new();
-    search_wire_cached(netlist, topo, wire, config, &cache)
-}
-
-/// Like [`search_wire`] but sharing a gate-masking-term cache (used by the
-/// parallel whole-design search).
-pub fn search_wire_cached(
-    netlist: &Netlist,
-    topo: &Topology,
-    wire: NetId,
-    config: &SearchConfig,
-    cache: &GmtCache,
-) -> WireSearchResult {
-    let mut scratch = PropagationScratch::new();
     let soa = SoaNetlist::build(netlist, topo);
-    search_wire_scratch(netlist, topo, &soa, wire, config, cache, &mut scratch)
+    search_wire_scratch(
+        netlist,
+        topo,
+        &soa,
+        wire,
+        config,
+        &GmtCache::new(),
+        &mut PropagationScratch::new(),
+        Engine::Session,
+    )
 }
 
-/// Like [`search_wire_cached`] but additionally reusing a
-/// [`PropagationScratch`] across wires, so steady-state candidate
-/// verification allocates nothing.  Worker threads of [`search_design`]
-/// each own one scratch for their whole share of the design; the
-/// [`SoaNetlist`] arena is built once per design (`SoaNetlist::build`) and
-/// shared read-only by every worker.
-pub fn search_wire_scratch(
+/// Which trust-propagation engine verifies candidates.  Production always
+/// runs the incremental [`ConeSession`]; the from-scratch reference exists
+/// only in test builds, as the oracle the session is compared against.
+#[derive(Clone, Copy)]
+enum Engine {
+    /// Reusable [`PropagationScratch`]: dense generation-stamped state,
+    /// memoized gate outcomes, incremental re-propagation along repair
+    /// branches.
+    Session,
+    /// Per-candidate from-scratch propagation
+    /// ([`propagate_cube_reference`]).
+    #[cfg(test)]
+    Reference,
+}
+
+/// The per-wire search behind [`search_wire`] and [`search_design`]:
+/// shares a gate-masking-term cache and reuses one [`PropagationScratch`]
+/// across wires, so steady-state candidate verification allocates nothing.
+/// Worker threads of [`search_design`] each own one scratch for their whole
+/// share of the design; the [`SoaNetlist`] arena is built once per design
+/// and shared read-only by every worker.
+#[allow(clippy::too_many_arguments)]
+fn search_wire_scratch(
     netlist: &Netlist,
     topo: &Topology,
     soa: &SoaNetlist,
@@ -199,6 +190,7 @@ pub fn search_wire_scratch(
     config: &SearchConfig,
     cache: &GmtCache,
     scratch: &mut PropagationScratch,
+    engine: Engine,
 ) -> WireSearchResult {
     let start = Instant::now();
     let cone = FaultCone::compute(netlist, topo, wire);
@@ -334,60 +326,43 @@ pub fn search_wire_scratch(
             if coverable {
                 path_masks.sort_unstable();
                 path_masks.dedup();
-                match config.propagation {
-                    PropagationMode::Reference => {
-                        let mut verifier = ReferenceCandidates {
+                match engine {
+                    Engine::Session => {
+                        let readers = cone.reader_index(netlist);
+                        let session = scratch.session(netlist, soa, &cone, &readers, &[wire]);
+                        run_combos(
+                            &maskable,
+                            &gate_cubes,
+                            &path_masks,
+                            config.max_terms,
+                            &mut found,
+                            &mut result.candidates_tried,
+                            budget,
+                            &mut SessionVerifier::new(session),
+                        );
+                    }
+                    #[cfg(test)]
+                    Engine::Reference => run_combos(
+                        &maskable,
+                        &gate_cubes,
+                        &path_masks,
+                        config.max_terms,
+                        &mut found,
+                        &mut result.candidates_tried,
+                        budget,
+                        &mut ReferenceCandidates {
                             netlist,
                             cone: &cone,
                             wire,
-                        };
-                        run_combos(
-                            &maskable,
-                            &gate_cubes,
-                            &path_masks,
-                            config.max_terms,
-                            &mut found,
-                            &mut result.candidates_tried,
-                            budget,
-                            &mut verifier,
-                        );
-                    }
-                    PropagationMode::Optimized => {
-                        let readers = cone.reader_index(netlist);
-                        let session = scratch.session(netlist, soa, &cone, &readers, &[wire]);
-                        let mut verifier = SessionVerifier::new(session);
-                        run_combos(
-                            &maskable,
-                            &gate_cubes,
-                            &path_masks,
-                            config.max_terms,
-                            &mut found,
-                            &mut result.candidates_tried,
-                            budget,
-                            &mut verifier,
-                        );
-                    }
+                        },
+                    ),
                 }
             }
         }
-        SearchStrategy::Repair => match config.propagation {
-            PropagationMode::Reference => {
-                let origins = [wire];
-                let mut verifier = ReferenceVerifier::start(netlist, &cone, &origins);
-                repair_all(
-                    netlist,
-                    cache,
-                    config.max_terms,
-                    budget,
-                    &mut found,
-                    &mut result.candidates_tried,
-                    &mut verifier,
-                );
-            }
-            PropagationMode::Optimized => {
+        SearchStrategy::Repair => match engine {
+            Engine::Session => {
                 let readers = cone.reader_index(netlist);
                 let session = scratch.session(netlist, soa, &cone, &readers, &[wire]);
-                let mut verifier = SessionVerifier::new(session);
                 repair_all(
                     netlist,
                     cache,
@@ -395,9 +370,19 @@ pub fn search_wire_scratch(
                     budget,
                     &mut found,
                     &mut result.candidates_tried,
-                    &mut verifier,
+                    &mut SessionVerifier::new(session),
                 );
             }
+            #[cfg(test)]
+            Engine::Reference => repair_all(
+                netlist,
+                cache,
+                config.max_terms,
+                budget,
+                &mut found,
+                &mut result.candidates_tried,
+                &mut ReferenceVerifier::start(netlist, &cone, &[wire]),
+            ),
         },
     }
 
@@ -411,21 +396,24 @@ pub fn search_wire_scratch(
 
 /// How the exhaustive strategy judges complete candidate cubes.  `push` /
 /// `pop` bracket each conjoined gate cube during expansion so an
-/// incremental engine keeps its state warm; the reference implements them
-/// as no-ops and propagates from scratch at the leaf.
+/// incremental engine keeps its state warm; the test-only reference
+/// implements them as no-ops and propagates from scratch at the leaf.
 trait CandidateVerifier {
     fn push(&mut self, next: &NetCube, prev: &NetCube) -> usize;
     fn pop(&mut self, mark: usize);
     fn masked_candidate(&mut self, candidate: &NetCube) -> bool;
 }
 
-/// From-scratch verification at the leaf only — the specification path.
+/// From-scratch verification at the leaf only — the test oracle of the
+/// exhaustive strategy.
+#[cfg(test)]
 struct ReferenceCandidates<'a> {
     netlist: &'a Netlist,
     cone: &'a FaultCone,
     wire: NetId,
 }
 
+#[cfg(test)]
 impl CandidateVerifier for ReferenceCandidates<'_> {
     fn push(&mut self, _next: &NetCube, _prev: &NetCube) -> usize {
         0
@@ -530,36 +518,19 @@ pub(crate) fn repair_multi(
     config: &SearchConfig,
     tried: &mut usize,
 ) -> Vec<NetCube> {
+    let readers = cone.reader_index(netlist);
+    let mut scratch = PropagationScratch::new();
+    let session = scratch.session(netlist, soa, cone, &readers, origins);
     let mut found = Vec::new();
-    match config.propagation {
-        PropagationMode::Reference => {
-            let mut verifier = ReferenceVerifier::start(netlist, cone, origins);
-            repair_all(
-                netlist,
-                cache,
-                config.max_terms,
-                config.max_candidates,
-                &mut found,
-                tried,
-                &mut verifier,
-            );
-        }
-        PropagationMode::Optimized => {
-            let readers = cone.reader_index(netlist);
-            let mut scratch = PropagationScratch::new();
-            let session = scratch.session(netlist, soa, cone, &readers, origins);
-            let mut verifier = SessionVerifier::new(session);
-            repair_all(
-                netlist,
-                cache,
-                config.max_terms,
-                config.max_candidates,
-                &mut found,
-                tried,
-                &mut verifier,
-            );
-        }
-    }
+    repair_all(
+        netlist,
+        cache,
+        config.max_terms,
+        config.max_candidates,
+        &mut found,
+        tried,
+        &mut SessionVerifier::new(session),
+    );
     minimize_cubes(found)
 }
 
@@ -728,8 +699,8 @@ pub struct PropagationOutcome {
 /// This is the executable specification of the optimized engine in
 /// [`crate::propagate`]: it allocates a fresh possibly-faulty bit set and
 /// known-constant map per call and re-enumerates every free pin assignment
-/// of every cone gate.  Kept verbatim so equivalence tests and benches can
-/// diff the fast path against it.
+/// of every cone gate.  Kept verbatim so the equivalence tests can diff the
+/// fast path against it.
 pub fn propagate_cube_reference(
     netlist: &Netlist,
     cone: &mate_netlist::FaultCone,
@@ -844,7 +815,8 @@ trait RepairVerifier {
 }
 
 /// From-scratch propagation per candidate (a stack of full
-/// [`PropagationOutcome`]s) — the specification path.
+/// [`PropagationOutcome`]s) — the test oracle of the repair strategy.
+#[cfg(test)]
 struct ReferenceVerifier<'a> {
     netlist: &'a Netlist,
     cone: &'a FaultCone,
@@ -852,6 +824,7 @@ struct ReferenceVerifier<'a> {
     stack: Vec<PropagationOutcome>,
 }
 
+#[cfg(test)]
 impl<'a> ReferenceVerifier<'a> {
     fn start(netlist: &'a Netlist, cone: &'a FaultCone, origins: &'a [NetId]) -> Self {
         let root = propagate_cube_reference(netlist, cone, origins, &NetCube::top());
@@ -864,6 +837,7 @@ impl<'a> ReferenceVerifier<'a> {
     }
 }
 
+#[cfg(test)]
 impl RepairVerifier for ReferenceVerifier<'_> {
     fn push(&mut self, next: &NetCube, _prev: &NetCube) -> usize {
         let mark = self.stack.len();
@@ -1222,6 +1196,7 @@ pub fn search_design(
                 config,
                 &cache,
                 &mut scratch,
+                Engine::Session,
             ));
         }
     } else {
@@ -1250,6 +1225,7 @@ pub fn search_design(
                                     config,
                                     cache,
                                     &mut scratch,
+                                    Engine::Session,
                                 ),
                             ));
                         }
@@ -1438,39 +1414,101 @@ mod tests {
         }
     }
 
+    /// Per-wire search of every wire in `wires` on one thread, verifying
+    /// candidates with `engine`.
+    fn search_with(
+        n: &Netlist,
+        topo: &Topology,
+        wires: &[NetId],
+        config: &SearchConfig,
+        engine: Engine,
+    ) -> Vec<WireSearchResult> {
+        let soa = SoaNetlist::build(n, topo);
+        let cache = GmtCache::new();
+        let mut scratch = PropagationScratch::new();
+        wires
+            .iter()
+            .map(|&w| search_wire_scratch(n, topo, &soa, w, config, &cache, &mut scratch, engine))
+            .collect()
+    }
+
+    /// The from-scratch reference search and the production session search
+    /// agree per wire — MATEs, candidate counts, unmaskable verdicts — for
+    /// both strategies.
+    fn assert_engines_agree(label: &str, n: &Netlist, topo: &Topology, config: SearchConfig) {
+        let wires = crate::ff_wires(n, topo);
+        for strategy in [SearchStrategy::Repair, SearchStrategy::Exhaustive] {
+            let config = SearchConfig { strategy, ..config };
+            let reference = search_with(n, topo, &wires, &config, Engine::Reference);
+            let session = search_with(n, topo, &wires, &config, Engine::Session);
+            for (r, s) in reference.iter().zip(&session) {
+                assert_eq!(r.wire, s.wire, "{label}/{strategy:?}: wire order diverges");
+                assert_eq!(
+                    r.mates, s.mates,
+                    "{label}/{strategy:?}: MATEs diverge on {:?}",
+                    r.wire
+                );
+                assert_eq!(
+                    r.candidates_tried, s.candidates_tried,
+                    "{label}/{strategy:?}: candidate counts diverge on {:?}",
+                    r.wire
+                );
+                assert_eq!(
+                    r.unmaskable, s.unmaskable,
+                    "{label}/{strategy:?}: unmaskable verdicts diverge on {:?}",
+                    r.wire
+                );
+            }
+        }
+    }
+
     #[test]
     fn reference_and_optimized_agree_on_examples() {
-        for strategy in [SearchStrategy::Repair, SearchStrategy::Exhaustive] {
-            for (n, topo) in [figure1(), figure1b(), tmr_register()] {
-                let wires = crate::ff_wires(&n, &topo);
-                let reference = search_design(
-                    &n,
-                    &topo,
-                    &wires,
-                    &SearchConfig {
-                        strategy,
-                        propagation: PropagationMode::Reference,
-                        threads: 1,
-                        ..SearchConfig::default()
-                    },
-                );
-                let optimized = search_design(
-                    &n,
-                    &topo,
-                    &wires,
-                    &SearchConfig {
-                        strategy,
-                        propagation: PropagationMode::Optimized,
-                        threads: 1,
-                        ..SearchConfig::default()
-                    },
-                );
-                for (a, b) in reference.results.iter().zip(&optimized.results) {
-                    assert_eq!(a.mates, b.mates, "{strategy:?} mates diverge");
-                    assert_eq!(a.candidates_tried, b.candidates_tried);
-                    assert_eq!(a.unmaskable, b.unmaskable);
-                }
-            }
+        for (label, (n, topo)) in [
+            ("figure1", figure1()),
+            ("figure1b", figure1b()),
+            ("tmr_register", tmr_register()),
+        ] {
+            assert_engines_agree(label, &n, &topo, SearchConfig::default());
+        }
+    }
+
+    /// The real cores at the quick bench budgets: 4 terms, 100 candidates
+    /// per wire.
+    #[test]
+    fn reference_and_optimized_agree_on_cores() {
+        let config = SearchConfig {
+            max_terms: 4,
+            max_candidates: 100,
+            ..SearchConfig::default()
+        };
+        let avr = mate_cores::AvrSystem::new();
+        assert_engines_agree("avr", avr.netlist(), avr.topology(), config);
+        let msp = mate_cores::Msp430System::new();
+        assert_engines_agree("msp430", msp.netlist(), msp.topology(), config);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(8))]
+
+        /// The propagation engine is verdict-invisible on random circuits.
+        #[test]
+        fn reference_and_optimized_agree_on_random_circuits(seed in 0u64..10_000) {
+            let circuit = mate_netlist::random::RandomCircuitConfig {
+                inputs: 4,
+                ffs: 8,
+                gates: 36,
+                outputs: 3,
+            };
+            let (n, topo) = mate_netlist::random::random_circuit(circuit, seed);
+            let config = SearchConfig {
+                depth: 5,
+                max_terms: 3,
+                max_candidates: 300,
+                max_paths: 256,
+                ..SearchConfig::default()
+            };
+            assert_engines_agree(&format!("seed {seed}"), &n, &topo, config);
         }
     }
 

@@ -1,18 +1,17 @@
-//! The `Analyze` stage: netlist lint + MATE soundness verification (and,
-//! under the SAT backend, per-wire completeness proofs) as a cached
-//! pipeline step.
+//! The `Analyze` stage: netlist lint, SAT-certified MATE soundness
+//! verification and per-wire completeness proofs as a cached pipeline
+//! step.
 //!
 //! Wraps [`mate_analyze`] so the static-verification layer participates in
 //! the content-addressed artifact cache like every other stage: the artifact
-//! key covers the design, the verified MATE set, the proof backend, the
-//! enumeration cap, and the conflict budget — but not the thread count,
-//! which never changes results.
+//! key covers the design, the verified MATE set and the conflict budget —
+//! but not the thread count, which never changes results.
 
 use std::collections::HashMap;
 
 use mate::MateSet;
 use mate_analyze::encode::CoverageProof;
-use mate_analyze::verify::{Counterexample, MateVerdict, ProofBackend, Verdict};
+use mate_analyze::verify::{Counterexample, MateVerdict, Verdict};
 use mate_analyze::{
     count_coverage, count_denied, count_verdicts, coverage_diagnostics, prove_wire_coverage,
     run_lints, sort_diagnostics, verify_mates, CoverageCounts, Diagnostic, Locus, Severity,
@@ -28,18 +27,13 @@ use crate::stages::Design;
 #[derive(Clone, Debug, PartialEq)]
 pub struct AnalysisReport {
     /// Canonically sorted lint diagnostics (including `mate-coverage`
-    /// warnings for coverage gaps under the SAT backend).
+    /// warnings for coverage gaps).
     pub diagnostics: Vec<Diagnostic>,
     /// Per-(MATE, wire) verdicts, sorted by (mate index, wire).
     pub verdicts: Vec<MateVerdict>,
-    /// Per-wire completeness certificates, sorted by wire.  Empty under
-    /// [`ProofBackend::Enumeration`] (the pass needs the solver).
+    /// Per-wire completeness certificates, sorted by wire.
     pub coverage: Vec<WireCoverage>,
-    /// The proof backend the verdicts were computed with.
-    pub backend: ProofBackend,
-    /// The enumeration cap the verdicts were computed under.
-    pub max_assignments: u64,
-    /// The per-call conflict budget under [`ProofBackend::Sat`].
+    /// The per-call solver conflict budget the proofs ran under.
     pub conflict_budget: u64,
 }
 
@@ -78,9 +72,7 @@ impl AnalysisReport {
     pub fn solver_totals(&self) -> SolveStats {
         let mut total = SolveStats::default();
         for v in &self.verdicts {
-            if let Some(s) = v.stats {
-                total = total.merge(s);
-            }
+            total = total.merge(v.stats);
         }
         for c in &self.coverage {
             let s = match &c.proof {
@@ -98,8 +90,7 @@ impl AnalysisReport {
 /// pipeline stage).
 #[derive(Clone, Debug)]
 pub struct Analyze {
-    /// Engine selection and limits; `threads` is excluded from the
-    /// fingerprint.
+    /// Solver limits; `threads` is excluded from the fingerprint.
     pub config: VerifyConfig,
 }
 
@@ -110,9 +101,12 @@ impl<'a> Stage<(&'a Design, &'a MateSet)> for Analyze {
         "analyze"
     }
 
+    /// Also the artifact header's format tag: bump it with the format.
+    fn version(&self) -> u32 {
+        3
+    }
+
     fn fingerprint(&self, h: &mut ContentHasher) {
-        h.str(self.config.backend.label());
-        h.u64(self.config.max_assignments);
         h.u64(self.config.conflict_budget);
         // `threads` excluded: verdicts are bit-identical per thread count.
     }
@@ -120,20 +114,13 @@ impl<'a> Stage<(&'a Design, &'a MateSet)> for Analyze {
     fn execute(&self, (design, mates): &(&Design, &MateSet)) -> Result<AnalysisReport, MateError> {
         let mut diagnostics = run_lints(&design.netlist);
         let verdicts = verify_mates(&design.netlist, &design.topology, mates, &self.config);
-        let coverage = match self.config.backend {
-            ProofBackend::Sat => {
-                prove_wire_coverage(&design.netlist, &design.topology, mates, &self.config)
-            }
-            ProofBackend::Enumeration => Vec::new(),
-        };
+        let coverage = prove_wire_coverage(&design.netlist, &design.topology, mates, &self.config);
         diagnostics.extend(coverage_diagnostics(&design.netlist, &coverage));
         sort_diagnostics(&mut diagnostics);
         Ok(AnalysisReport {
             diagnostics,
             verdicts,
             coverage,
-            backend: self.config.backend,
-            max_assignments: self.config.max_assignments,
             conflict_budget: self.config.conflict_budget,
         })
     }
@@ -145,9 +132,8 @@ impl<'a> Stage<(&'a Design, &'a MateSet)> for Analyze {
     ) -> Result<Vec<u8>, MateError> {
         let n = &design.netlist;
         let mut text = format!(
-            "# analyze v2 backend={} cap={} budget={} diags={} verdicts={} coverage={}\n",
-            output.backend.label(),
-            output.max_assignments,
+            "# analyze v{} budget={} diags={} verdicts={} coverage={}\n",
+            self.version(),
             output.conflict_budget,
             output.diagnostics.len(),
             output.verdicts.len(),
@@ -166,7 +152,7 @@ impl<'a> Stage<(&'a Design, &'a MateSet)> for Analyze {
         }
         for v in &output.verdicts {
             let wire = n.net(v.wire).name();
-            let stats = encode_stats(v.stats.as_ref());
+            let stats = encode_stats(&v.stats);
             match &v.verdict {
                 Verdict::Proved { checked } => {
                     text.push_str(&format!(
@@ -203,7 +189,7 @@ impl<'a> Stage<(&'a Design, &'a MateSet)> for Analyze {
                     text.push_str(&format!(
                         "C\t{wire}\t{}\tcomplete\t{}\n",
                         c.mates,
-                        encode_stats(Some(stats))
+                        encode_stats(stats)
                     ));
                 }
                 CoverageProof::Gap {
@@ -220,14 +206,14 @@ impl<'a> Stage<(&'a Design, &'a MateSet)> for Analyze {
                         "C\t{wire}\t{}\tgap\t{}\t{assign}\t{}\n",
                         c.mates,
                         u8::from(*origin_value),
-                        encode_stats(Some(stats))
+                        encode_stats(stats)
                     ));
                 }
                 CoverageProof::Undecided { stats } => {
                     text.push_str(&format!(
                         "C\t{wire}\t{}\tundecided\t{}\n",
                         c.mates,
-                        encode_stats(Some(stats))
+                        encode_stats(stats)
                     ));
                 }
             }
@@ -251,19 +237,6 @@ impl<'a> Stage<(&'a Design, &'a MateSet)> for Analyze {
                 .split_whitespace()
                 .find_map(|tok| tok.strip_prefix(key))
                 .ok_or_else(|| MateError::artifact(self.name(), format!("header missing {key}")))
-        };
-        let max_assignments = header_field("cap=")?
-            .parse::<u64>()
-            .map_err(|_| MateError::artifact(self.name(), "header cap= is not a number"))?;
-        let backend = match header_field("backend=")? {
-            "sat" => ProofBackend::Sat,
-            "enum" => ProofBackend::Enumeration,
-            other => {
-                return Err(MateError::artifact(
-                    self.name(),
-                    format!("header backend=`{other}` is not a proof backend"),
-                ))
-            }
         };
         let conflict_budget = header_field("budget=")?
             .parse::<u64>()
@@ -409,15 +382,13 @@ impl<'a> Stage<(&'a Design, &'a MateSet)> for Analyze {
                     };
                     let wire = net(idx, wire)?;
                     let mates: usize = parse_field(self.name(), idx, mates)?;
-                    let required_stats =
-                        |stats: Option<SolveStats>| stats.ok_or_else(|| bad_line(self.name(), idx));
                     let proof = match kind {
                         "complete" | "undecided" => {
-                            let stats = required_stats(decode_stats(
+                            let stats = decode_stats(
                                 self.name(),
                                 idx,
                                 fields.next().ok_or_else(|| bad_line(self.name(), idx))?,
-                            )?)?;
+                            )?;
                             if kind == "complete" {
                                 CoverageProof::Complete { stats }
                             } else {
@@ -438,7 +409,7 @@ impl<'a> Stage<(&'a Design, &'a MateSet)> for Analyze {
                             CoverageProof::Gap {
                                 origin_value,
                                 assignment: parse_assign(idx, assign)?,
-                                stats: required_stats(decode_stats(self.name(), idx, stats)?)?,
+                                stats: decode_stats(self.name(), idx, stats)?,
                             }
                         }
                         _ => return Err(bad_line(self.name(), idx)),
@@ -458,8 +429,6 @@ impl<'a> Stage<(&'a Design, &'a MateSet)> for Analyze {
             diagnostics,
             verdicts,
             coverage,
-            backend,
-            max_assignments,
             conflict_budget,
         })
     }
@@ -480,25 +449,17 @@ fn intern_code(code: &str) -> Option<&'static str> {
     CODES.iter().find(|&&c| c == code).copied()
 }
 
-/// Solver counters as one artifact field: `conflicts:decisions:propagations:
-/// learned:restarts`, or `-` when the enumeration backend recorded none.
-fn encode_stats(stats: Option<&SolveStats>) -> String {
-    stats.map_or_else(
-        || "-".to_owned(),
-        |s| {
-            format!(
-                "{}:{}:{}:{}:{}",
-                s.conflicts, s.decisions, s.propagations, s.learned, s.restarts
-            )
-        },
+/// Solver counters as one artifact field:
+/// `conflicts:decisions:propagations:learned:restarts`.
+fn encode_stats(s: &SolveStats) -> String {
+    format!(
+        "{}:{}:{}:{}:{}",
+        s.conflicts, s.decisions, s.propagations, s.learned, s.restarts
     )
 }
 
 /// Inverse of [`encode_stats`].
-fn decode_stats(stage: &str, idx: usize, text: &str) -> Result<Option<SolveStats>, MateError> {
-    if text == "-" {
-        return Ok(None);
-    }
+fn decode_stats(stage: &str, idx: usize, text: &str) -> Result<SolveStats, MateError> {
     let mut parts = text.split(':');
     let mut take = || -> Result<u64, MateError> {
         parse_field(
@@ -517,7 +478,7 @@ fn decode_stats(stage: &str, idx: usize, text: &str) -> Result<Option<SolveStats
     if parts.next().is_some() {
         return Err(bad_line(stage, idx));
     }
-    Ok(Some(stats))
+    Ok(stats)
 }
 
 fn artifact_utf8<'b>(stage: &str, bytes: &'b [u8]) -> Result<&'b str, MateError> {

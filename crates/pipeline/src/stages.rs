@@ -15,8 +15,8 @@ use std::time::Duration;
 
 use mate::eval::{evaluate, EvalReport, PruneMatrix};
 use mate::{
-    ff_wires, ff_wires_filtered, read_mates, search_design, select_top_n, write_mates, GmtCache,
-    MateSet, PropagationMode, SearchConfig, SearchStats, SearchStrategy,
+    ff_wires, ff_wires_filtered, read_mates, read_mates_in_order, search_design, select_top_n,
+    write_mates, GmtCache, MateSet, SearchConfig, SearchStats, SearchStrategy,
 };
 use mate_analyze::{run_lints, sort_diagnostics, Severity};
 use mate_cores::{AvrWorkload, Msp430Workload};
@@ -405,10 +405,6 @@ fn fingerprint_search_config(config: &SearchConfig, h: &mut ContentHasher) {
     h.str(match config.strategy {
         SearchStrategy::Exhaustive => "exhaustive",
         SearchStrategy::Repair => "repair",
-    });
-    h.str(match config.propagation {
-        PropagationMode::Reference => "reference",
-        PropagationMode::Optimized => "optimized",
     });
     // `threads` is deliberately excluded: results are bit-identical for
     // every thread count.
@@ -823,7 +819,9 @@ impl<'a> Stage<(&'a Design, &'a MateSet, &'a WaveTrace)> for Select {
         (design, _, _): &(&Design, &MateSet, &WaveTrace),
         bytes: &[u8],
     ) -> Result<MateSet, MateError> {
-        read_mates(&design.netlist, BufReader::new(bytes))
+        // Rank order, as computed: downstream stages index the MATEs, so a
+        // warm run must see the same order as a cold one.
+        read_mates_in_order(&design.netlist, BufReader::new(bytes))
     }
 }
 

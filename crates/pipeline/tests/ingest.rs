@@ -168,7 +168,6 @@ fn vendored_core_runs_the_full_pipeline() {
         .analyze(
             (&search.value.mates, search.key),
             VerifyConfig {
-                max_assignments: 1 << 12,
                 threads: 1,
                 ..VerifyConfig::default()
             },

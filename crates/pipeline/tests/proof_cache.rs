@@ -1,13 +1,13 @@
-//! The Analyze stage fingerprint after the SAT backend landed: the proof
-//! backend and conflict budget are part of the artifact identity, the
-//! thread count is not.  Plants a report under one configuration and
-//! probes it with maximally different execution-only settings (hit) and
-//! with a backend/budget switch (miss).
+//! The Analyze stage fingerprint: the conflict budget is part of the
+//! artifact identity, the thread count is not.  Plants a report under one
+//! configuration and probes it with a different thread count (hit), with
+//! a budget switch (miss), and with a planted verdict line that lacks
+//! solver counters (recomputed).
 
 use std::path::PathBuf;
 
 use mate::SearchConfig;
-use mate_analyze::{ProofBackend, VerifyConfig};
+use mate_analyze::VerifyConfig;
 use mate_netlist::examples::figure1b;
 use mate_pipeline::{
     AnalysisReport, ArtifactStore, ContentHash, DesignSource, Flow, TraceSource, WireSetSpec,
@@ -73,21 +73,19 @@ fn run_analyze(store: ArtifactStore, config: VerifyConfig) -> (ContentHash, Anal
 }
 
 #[test]
-fn backend_switch_misses_while_thread_count_hits() {
-    let scratch = Scratch::new("backend-key");
+fn budget_switch_misses_while_thread_count_hits() {
+    let scratch = Scratch::new("budget-key");
 
-    // Plant: the SAT backend on a single thread.
+    // Plant: the default budget on a single thread.
     let planted_config = VerifyConfig {
         threads: 1,
-        backend: ProofBackend::Sat,
         ..VerifyConfig::default()
     };
     let (planted_key, planted, cached) = run_analyze(scratch.store(), planted_config);
     assert!(!cached, "first run must compute");
-    assert_eq!(planted.backend, ProofBackend::Sat);
     assert!(
         !planted.coverage.is_empty(),
-        "the SAT backend proves per-wire coverage"
+        "the analyze stage proves per-wire coverage"
     );
 
     // Probe 1: execution-only change (thread count) — must hit the planted
@@ -95,7 +93,6 @@ fn backend_switch_misses_while_thread_count_hits() {
     // included.
     let threads_only = VerifyConfig {
         threads: 7,
-        backend: ProofBackend::Sat,
         ..VerifyConfig::default()
     };
     let (probe_key, probe, cached) = run_analyze(scratch.store(), threads_only);
@@ -103,30 +100,34 @@ fn backend_switch_misses_while_thread_count_hits() {
     assert_eq!(probe_key, planted_key);
     assert_eq!(probe, planted);
 
-    // Probe 2: proof backend switch — a different certificate regime, so
-    // the planted artifact must miss.
-    let enum_config = VerifyConfig {
-        threads: 1,
-        backend: ProofBackend::Enumeration,
-        ..VerifyConfig::default()
-    };
-    let (enum_key, enum_report, cached) = run_analyze(scratch.store(), enum_config);
-    assert!(!cached, "backend switch must miss the analyze cache");
-    assert_ne!(enum_key, planted_key);
-    assert_eq!(enum_report.backend, ProofBackend::Enumeration);
-    assert!(
-        enum_report.coverage.is_empty(),
-        "enumeration runs no coverage pass"
-    );
-
-    // Probe 3: conflict budget is part of the SAT identity too.
+    // Probe 2: the conflict budget is part of the proof identity.
     let tighter_budget = VerifyConfig {
         threads: 1,
-        backend: ProofBackend::Sat,
         conflict_budget: 1,
-        ..VerifyConfig::default()
     };
     let (budget_key, _, cached) = run_analyze(scratch.store(), tighter_budget);
     assert!(!cached, "budget change must miss the analyze cache");
     assert_ne!(budget_key, planted_key);
+
+    // Probe 3: a verdict line whose solver counters are `-` (the form the
+    // enumeration backend wrote) no longer decodes, so the stage recomputes
+    // under the same key and returns the same report.
+    let store = scratch.store();
+    let text = String::from_utf8(store.load("analyze", &planted_key).unwrap().unwrap()).unwrap();
+    let verdict_line = text
+        .lines()
+        .find(|line| line.starts_with("V\t"))
+        .expect("the planted report has a verdict line");
+    let (verdict, _counters) = verdict_line.rsplit_once('\t').unwrap();
+    let stripped = text.replacen(verdict_line, &format!("{verdict}\t-"), 1);
+    store
+        .save("analyze", &planted_key, stripped.as_bytes())
+        .unwrap();
+    let (recomputed_key, recomputed, cached) = run_analyze(scratch.store(), planted_config);
+    assert!(
+        !cached,
+        "a verdict without solver counters must be recomputed"
+    );
+    assert_eq!(recomputed_key, planted_key);
+    assert_eq!(recomputed, planted);
 }

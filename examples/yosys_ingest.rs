@@ -75,14 +75,7 @@ fn main() -> Result<(), MateError> {
     println!("fault space: {}", report.value.matrix);
 
     // 5. Independent soundness check of every MATE claim.
-    let analysis = flow.analyze(
-        (&search.value.mates, search.key),
-        VerifyConfig {
-            max_assignments: 1 << 16,
-            threads: 0,
-            ..VerifyConfig::default()
-        },
-    )?;
+    let analysis = flow.analyze((&search.value.mates, search.key), VerifyConfig::default())?;
     let counts = analysis.value.counts();
     println!(
         "verifier: {} proved / {} bounded / {} refuted",

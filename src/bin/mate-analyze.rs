@@ -6,29 +6,24 @@
 //! severity fires.  All heavy stages run through the content-addressed
 //! pipeline cache, so repeated gate runs are cheap.
 //!
-//! Two proof backends (`--proof`):
-//!
-//! * `sat` (default) — every (MATE, wire) masking condition is decided
-//!   exactly by the builtin CDCL solver: `proved` carries a replay-checked
-//!   UNSAT certificate over the full `2^free` border space, `refuted` a
-//!   re-simulated counterexample.  The same engine then proves per-wire
-//!   *completeness* — that the selected MATE set matches every benign
-//!   fault point on each covered wire — with gaps reported as
-//!   `mate-coverage` warnings.  A verdict only stays `bounded` when the
-//!   per-call conflict budget (`--budget`, default 1000000) fires; pair
-//!   with `--deny bounded` to make that a gate failure.
-//! * `enum` — exhaustive border-assignment enumeration up to `--cap`
-//!   assignments; spaces beyond the cap stay `bounded` (a clean sample,
-//!   not a certificate).  No coverage pass.
+//! Every (MATE, wire) masking condition is decided exactly by the builtin
+//! CDCL solver: `proved` carries a replay-checked UNSAT certificate over
+//! the full `2^free` border space, `refuted` a re-simulated
+//! counterexample.  The same engine then proves per-wire *completeness* —
+//! that the selected MATE set matches every benign fault point on each
+//! covered wire — with gaps reported as `mate-coverage` warnings.  A
+//! verdict only stays `bounded` when the per-call conflict budget
+//! (`--budget`, default 1000000) fires; pair with `--deny bounded` to make
+//! that a gate failure.
 //!
 //! `--deny` is repeatable: a severity (`error`, `warning`, `info`) sets
 //! the lint gate threshold, and the special value `bounded` additionally
 //! fails the gate on any bounded (uncertified) verdict.
 //!
 //! ```text
-//! mate-analyze [--core avr|msp430|all] [--json <path>]... [--top-module M]
-//!              [--wires all|no-rf] [--top N] [--proof sat|enum] [--cap N]
-//!              [--budget N] [--deny error|warning|info|bounded]...
+//! mate-analyze [--core avr|msp430|all|none] [--json <path>]... [--top-module M]
+//!              [--wires all|no-rf] [--top N] [--budget N]
+//!              [--deny error|warning|info|bounded]...
 //!              [--threads N] [--emit text|json]
 //! ```
 //!
@@ -42,7 +37,7 @@
 //! | code | meaning |
 //! |------|---------|
 //! | 0    | every target passed the gate |
-//! | 1    | gate failure: a refuted MATE, a lint at/above `--deny`, a bounded verdict under `--deny bounded` (e.g. the SAT conflict budget fired), or an external netlist rejected by the ingest lint gate (undriven/multi-driven nets, combinational loops, unknown cells, clock-discipline violations) |
+//! | 1    | gate failure: a refuted MATE, a lint at/above `--deny`, a bounded verdict under `--deny bounded` (the conflict budget fired), or an external netlist rejected by the ingest lint gate (undriven/multi-driven nets, combinational loops, unknown cells, clock-discipline violations) |
 //! | 2    | usage error |
 //! | 3    | runtime error (I/O, malformed JSON, cache store problems) |
 
@@ -51,7 +46,7 @@ use std::process::ExitCode;
 
 use fault_space_pruning::analyze::{
     count_denied, render_coverage_json, render_coverage_text, render_json, render_text,
-    render_verdicts_json, render_verdicts_text, ProofBackend, Severity, VerifyConfig,
+    render_verdicts_json, render_verdicts_text, Severity, VerifyConfig,
 };
 use fault_space_pruning::pipeline::{DesignSource, Flow, WireSetSpec};
 use mate_bench::{no_rf_spec, table_search_config, Core, TRACE_CYCLES};
@@ -67,8 +62,6 @@ struct Options {
     top_module: Option<String>,
     wires: WireSetSpec,
     top: usize,
-    backend: ProofBackend,
-    cap: u64,
     budget: u64,
     deny: Severity,
     deny_bounded: bool,
@@ -79,9 +72,8 @@ struct Options {
 fn usage() -> ! {
     eprintln!(
         "usage: mate-analyze [--core avr|msp430|all|none] [--json <path>]... \
-         [--top-module M] [--wires all|no-rf] [--top N] [--proof sat|enum] \
-         [--cap N] [--budget N] [--deny error|warning|info|bounded]... \
-         [--threads N] [--emit text|json]"
+         [--top-module M] [--wires all|no-rf] [--top N] [--budget N] \
+         [--deny error|warning|info|bounded]... [--threads N] [--emit text|json]"
     );
     std::process::exit(2);
 }
@@ -93,8 +85,6 @@ fn parse_args() -> Options {
         top_module: None,
         wires: WireSetSpec::AllFfs,
         top: 100,
-        backend: ProofBackend::Sat,
-        cap: 1 << 20,
         budget: 1_000_000,
         deny: Severity::Error,
         deny_bounded: false,
@@ -137,19 +127,6 @@ fn parse_args() -> Options {
             }
             "--top" => {
                 opts.top = value("--top").parse().unwrap_or_else(|_| usage());
-            }
-            "--proof" => {
-                opts.backend = match value("--proof").as_str() {
-                    "sat" => ProofBackend::Sat,
-                    "enum" => ProofBackend::Enumeration,
-                    other => {
-                        eprintln!("mate-analyze: unknown proof backend `{other}`");
-                        usage();
-                    }
-                };
-            }
-            "--cap" => {
-                opts.cap = value("--cap").parse().unwrap_or_else(|_| usage());
             }
             "--budget" => {
                 opts.budget = value("--budget").parse().unwrap_or_else(|_| usage());
@@ -198,10 +175,9 @@ fn report_gate(
     if opts.emit_json {
         let totals = report.solver_totals();
         println!(
-            "{{\"target\":\"{label}\",\"backend\":\"{}\",\"diagnostics\":{},\"verdicts\":{},\
+            "{{\"target\":\"{label}\",\"diagnostics\":{},\"verdicts\":{},\
              \"coverage\":{},\"solver_totals\":{{\"conflicts\":{},\"decisions\":{},\
              \"propagations\":{},\"learned\":{},\"restarts\":{}}}}}",
-            report.backend.label(),
             render_json(netlist, &report.diagnostics).trim_end(),
             render_verdicts_json(netlist, &report.verdicts).trim_end(),
             render_coverage_json(netlist, &report.coverage).trim_end(),
@@ -226,22 +202,20 @@ fn report_gate(
             counts.bounded,
             counts.refuted,
         );
-        if report.backend == ProofBackend::Sat {
-            let cov = report.coverage_counts();
-            let totals = report.solver_totals();
-            println!(
-                "{label}: coverage {} complete / {} gaps / {} undecided; solver {} conflicts, \
-                 {} decisions, {} propagations, {} learned, {} restarts",
-                cov.complete,
-                cov.gaps,
-                cov.undecided,
-                totals.conflicts,
-                totals.decisions,
-                totals.propagations,
-                totals.learned,
-                totals.restarts,
-            );
-        }
+        let cov = report.coverage_counts();
+        let totals = report.solver_totals();
+        println!(
+            "{label}: coverage {} complete / {} gaps / {} undecided; solver {} conflicts, \
+             {} decisions, {} propagations, {} learned, {} restarts",
+            cov.complete,
+            cov.gaps,
+            cov.undecided,
+            totals.conflicts,
+            totals.decisions,
+            totals.propagations,
+            totals.learned,
+            totals.restarts,
+        );
     }
     report.gate_passes_with(opts.deny, opts.deny_bounded)
 }
@@ -261,9 +235,7 @@ fn run_core(core: Core, opts: &Options) -> Result<bool, MateError> {
     let report = flow.analyze(
         selected.part(),
         VerifyConfig {
-            max_assignments: opts.cap,
             threads: opts.threads,
-            backend: opts.backend,
             conflict_budget: opts.budget,
         },
     )?;
@@ -284,9 +256,7 @@ fn run_external(path: &Path, opts: &Options) -> Result<bool, MateError> {
     let report = flow.analyze(
         (&search.value.mates, search.key),
         VerifyConfig {
-            max_assignments: opts.cap,
             threads: opts.threads,
-            backend: opts.backend,
             conflict_budget: opts.budget,
         },
     )?;

@@ -1,11 +1,11 @@
 //! The `Analyze` pipeline stage: the lint + verification report must be
 //! cacheable like every other artifact — byte-faithful across an
 //! encode/decode round trip, served from the store on a re-run, and missed
-//! again when the enumeration cap (part of the stage fingerprint) changes.
+//! again when the conflict budget (part of the stage fingerprint) changes.
 
 use std::path::PathBuf;
 
-use fault_space_pruning::analyze::{ProofBackend, Severity, Verdict, VerifyConfig};
+use fault_space_pruning::analyze::{Severity, Verdict, VerifyConfig};
 use fault_space_pruning::mate::prelude::*;
 use fault_space_pruning::netlist::examples::figure1b;
 use fault_space_pruning::pipeline::{ArtifactStore, DesignSource, Flow, TraceSource, WireSetSpec};
@@ -97,26 +97,23 @@ fn analyze_stage_caches_and_round_trips() {
         second.summary().to_json()
     );
 
-    // Changing the cap (and backend) changes the stage fingerprint: miss,
-    // and the small cap shows up both in the report and in Bounded
-    // verdicts for any cone with more than one free border assignment
-    // under the enumeration backend.
+    // Changing the conflict budget changes the stage fingerprint: miss,
+    // and the budget shows up in the report.  A one-conflict budget may
+    // leave verdicts bounded, but it can never turn one into a refutation.
     let mut third = Flow::new(scratch.store(), figure1b_source()).unwrap();
-    let capped = run_analyze(
+    let starved = run_analyze(
         &mut third,
         VerifyConfig {
-            max_assignments: 1,
             threads: 0,
-            backend: ProofBackend::Enumeration,
-            ..VerifyConfig::default()
+            conflict_budget: 1,
         },
     );
-    assert_eq!(capped.max_assignments, 1);
+    assert_eq!(starved.conflict_budget, 1);
     assert!(
         third.summary().misses() > 0,
-        "cap change must miss the cache"
+        "budget change must miss the cache"
     );
-    assert!(capped
+    assert!(starved
         .verdicts
         .iter()
         .all(|v| !matches!(v.verdict, Verdict::Refuted { .. })));
