@@ -55,6 +55,7 @@
 
 pub mod analysis;
 pub mod flow;
+mod frame;
 pub mod hash;
 pub mod stage;
 pub mod stages;

@@ -28,8 +28,10 @@ pub const ENGINE_LAYOUT_VERSION: u32 = 3;
 /// references to upstream outputs); [`Stage::Output`] is the produced value.
 /// Every output must be serializable ([`Stage::encode`]/[`Stage::decode`])
 /// so it can live in the artifact store; `decode` receives the input again
-/// because most artifacts (mate sets, traces) are keyed by net *names* and
-/// need the design to resolve them.
+/// because every artifact depends on the design: text artifacts (MATE
+/// sets, evaluation reports) name nets and need it to resolve the names,
+/// and the binary trace and campaign artifacts address nets by position
+/// and check the design's numbering before they decode.
 pub trait Stage<In> {
     /// The produced value.
     type Output;
@@ -138,8 +140,12 @@ impl Pipeline {
     /// `H(name, engine layout, version, fingerprint, deps)` — see
     /// [`ENGINE_LAYOUT_VERSION`].  If the store holds that key the artifact
     /// is decoded and the stage is *not* executed (a **hit**); otherwise the
-    /// stage executes and its encoded output is persisted (a **miss**).  A
-    /// corrupt artifact silently falls back to execution.
+    /// stage executes and its encoded output is persisted (a **miss**).  An
+    /// artifact that fails to decode also counts as a miss: the stage
+    /// executes and overwrites it.  The binary trace and campaign artifacts
+    /// carry a payload checksum and the design's net-numbering fingerprint,
+    /// so a damaged or foreign one always fails to decode; the text
+    /// artifacts fail only where their parsers notice.
     ///
     /// # Errors
     ///

@@ -2,13 +2,16 @@
 //! `LoadDesign → GmtLibrary → MateSearch → TraceCapture → Evaluate →
 //! Select → Campaign`.
 //!
-//! Artifacts reuse the repo's existing text formats wherever one exists —
-//! structural Verilog for designs, `mate-set v1` for MATE sets, VCD for
-//! traces — and add two small line formats for evaluation reports and
-//! campaign results.  All of them are keyed by net *names*, which is why
-//! [`Stage::decode`] receives the design again.
+//! Small or human-read artifacts are text in the repo's existing formats —
+//! structural Verilog or Yosys JSON for designs, `mate-set v1` for MATE
+//! sets — plus small line formats for the GMT table and evaluation
+//! reports; these name every net.  The two bulk artifacts, traces and
+//! campaign records, are fixed-width binary behind a frame (format tag,
+//! net-numbering fingerprint, payload checksum) that ties them to the
+//! design's numbering, so decoding them is a bounds-checked copy.  Either
+//! way [`Stage::decode`] receives the design again: to resolve names, or
+//! to check the numbering.
 
-use std::collections::HashMap;
 use std::io::BufReader;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -26,9 +29,10 @@ use mate_hafi::{
 };
 use mate_netlist::verilog::{parse_verilog, to_verilog};
 use mate_netlist::yosys::{parse_yosys_netlist, to_yosys_json};
-use mate_netlist::{Library, MateError, NetId, Netlist, Topology};
-use mate_sim::{read_vcd, write_vcd, InputWave, Testbench, WaveTrace};
+use mate_netlist::{Library, MateError, NetDriver, NetId, Netlist, Topology};
+use mate_sim::WaveTrace;
 
+use crate::frame::{self, FrameWriter};
 use crate::hash::ContentHasher;
 use crate::stage::Stage;
 
@@ -181,7 +185,14 @@ impl Stage<()> for LoadDesign {
 
     fn execute(&self, _input: &()) -> Result<Design, MateError> {
         let (netlist, topology) = match &self.source {
-            DesignSource::Verilog { text, .. } => parse_verilog(text, Library::open15())?,
+            DesignSource::Verilog { text, .. } => {
+                // The artifact declares inputs, then outputs, then wires,
+                // so a warm decode may number nets differently from the
+                // source.  Number them as the decode will: by re-parsing
+                // the written form.
+                let (netlist, _) = parse_verilog(text, Library::open15())?;
+                parse_verilog(&to_verilog(&netlist), Library::open15())?
+            }
             DesignSource::Builder { build, .. } => build(),
             DesignSource::YosysJson { path, top } => {
                 let display = path.display().to_string();
@@ -547,6 +558,9 @@ impl TraceSource {
     /// Builds the harness this source describes.  Core harnesses elaborate
     /// their own system; deterministic elaboration guarantees its net ids
     /// match the pipeline design's.
+    ///
+    /// Stimuli are checked here, once, for every stage that runs them: each
+    /// wave must name a primary input and hold at least one value.
     fn harness(&self, design: &Design) -> Result<Box<dyn DesignHarness + Sync>, MateError> {
         match self {
             Self::Avr { program, dmem } => {
@@ -565,6 +579,16 @@ impl TraceSource {
                                 line: 0,
                                 name: name.clone(),
                             })?;
+                    if design.netlist.net(net).driver() != NetDriver::Input {
+                        return Err(MateError::campaign(format!(
+                            "stimulus `{name}` does not drive a primary input"
+                        )));
+                    }
+                    if values.is_empty() {
+                        return Err(MateError::campaign(format!(
+                            "stimulus `{name}` has no values"
+                        )));
+                    }
                     harness = harness.drive(net, values.clone());
                 }
                 Ok(Box::new(harness))
@@ -573,7 +597,15 @@ impl TraceSource {
     }
 }
 
+/// Tag of the trace artifact frame.
+const TRACE_TAG: [u8; 8] = *b"MATE-TRC";
+
 /// Records the fault-free workload trace (the paper's VCD capture step).
+///
+/// The artifact is binary: the frame, `num_nets` and `cycles` as `u64`,
+/// then [`WaveTrace::raw_words`] as little-endian row-major words, so a
+/// warm run decodes it by copy.  VCD remains an export format
+/// ([`mate_sim::write_vcd`]) for waveform viewers.
 #[derive(Clone, Debug)]
 pub struct TraceCapture {
     /// The workload.
@@ -589,40 +621,41 @@ impl Stage<&Design> for TraceCapture {
         "trace-capture"
     }
 
+    fn version(&self) -> u32 {
+        2
+    }
+
     fn fingerprint(&self, h: &mut ContentHasher) {
         self.source.fingerprint(h);
         h.usize(self.cycles);
     }
 
     fn execute(&self, input: &&Design) -> Result<WaveTrace, MateError> {
-        match &self.source {
-            TraceSource::Stimuli { waves } => {
-                let mut tb = Testbench::new(&input.netlist, &input.topology);
-                for (name, values) in waves {
-                    let net =
-                        input
-                            .netlist
-                            .find_net(name)
-                            .ok_or_else(|| MateError::UnknownNet {
-                                line: 0,
-                                name: name.clone(),
-                            })?;
-                    tb.drive(net, InputWave::from_vec(values.clone()));
-                }
-                Ok(tb.run(self.cycles))
-            }
-            source => Ok(source.harness(input)?.testbench().run(self.cycles)),
-        }
+        Ok(self.source.harness(input)?.testbench().run(self.cycles))
     }
 
     fn encode(&self, input: &&Design, output: &WaveTrace) -> Result<Vec<u8>, MateError> {
-        let mut buf = Vec::new();
-        write_vcd(&input.netlist, output, &mut buf)?;
-        Ok(buf)
+        let words = output.raw_words();
+        let mut frame = FrameWriter::new(TRACE_TAG, input, 16 + 8 * words.len());
+        frame.u64(output.num_nets() as u64);
+        frame.u64(output.num_cycles() as u64);
+        for &word in words {
+            frame.u64(word);
+        }
+        Ok(frame.finish())
     }
 
     fn decode(&self, input: &&Design, bytes: &[u8]) -> Result<WaveTrace, MateError> {
-        read_vcd(&input.netlist, BufReader::new(bytes))
+        let mut payload = frame::open(self.name(), TRACE_TAG, input, bytes)?;
+        let num_nets = payload.usize()?;
+        let cycles = payload.usize()?;
+        if num_nets != input.netlist.num_nets() {
+            return Err(payload.error(format!(
+                "trace of {num_nets} nets for a design of {}",
+                input.netlist.num_nets()
+            )));
+        }
+        WaveTrace::from_raw_words(num_nets, cycles, payload.words()?)
     }
 }
 
@@ -825,7 +858,17 @@ impl<'a> Stage<(&'a Design, &'a MateSet, &'a WaveTrace)> for Select {
     }
 }
 
+/// Tag of the campaign artifact frame.
+const CAMPAIGN_TAG: [u8; 8] = *b"MATE-CMP";
+
+/// Bytes per campaign record: flip-flop ordinal in `seq_cells()` (`u32`),
+/// cycle (`u32`), effect tag (`u8`), `after` (`u32`).
+const RECORD_BYTES: usize = 13;
+
 /// Runs the (sampled) fault-injection campaign on the batched engine.
+///
+/// The artifact is binary: the frame, the record count as `u64`, then one
+/// fixed-width record per fault point, in order.
 #[derive(Clone, Debug)]
 pub struct Campaign {
     /// The workload driving the design.
@@ -841,6 +884,10 @@ impl Stage<&Design> for Campaign {
 
     fn name(&self) -> &'static str {
         "campaign"
+    }
+
+    fn version(&self) -> u32 {
+        2
     }
 
     fn fingerprint(&self, h: &mut ContentHasher) {
@@ -879,64 +926,68 @@ impl Stage<&Design> for Campaign {
     }
 
     fn encode(&self, input: &&Design, output: &CampaignResult) -> Result<Vec<u8>, MateError> {
-        let mut text = format!("# campaign v1 records={}\n", output.records.len());
-        for (point, effect) in &output.records {
-            let effect = match effect {
-                FaultEffect::MaskedWithinOneCycle => "masked".to_owned(),
-                FaultEffect::SilentRecovery { after } => format!("recovery:{after}"),
-                FaultEffect::Latent => "latent".to_owned(),
-                FaultEffect::OutputFailure { after } => format!("failure:{after}"),
-            };
-            text.push_str(&format!(
-                "{} {} {effect}\n",
-                input.netlist.net(point.wire).name(),
-                point.cycle
-            ));
+        let bad = |message: String| MateError::artifact(self.name(), message);
+        let field = |v: usize| u32::try_from(v).map_err(|_| bad(format!("{v} overflows u32")));
+        let mut ordinal = vec![None; input.netlist.num_cells()];
+        for (idx, &ff) in input.topology.seq_cells().iter().enumerate() {
+            ordinal[ff.index()] = Some(field(idx)?);
         }
-        Ok(text.into_bytes())
+        let records = &output.records;
+        let mut frame = FrameWriter::new(CAMPAIGN_TAG, input, 8 + RECORD_BYTES * records.len());
+        frame.u64(records.len() as u64);
+        for (point, effect) in records {
+            let ff = ordinal
+                .get(point.ff.index())
+                .copied()
+                .flatten()
+                .filter(|_| input.netlist.cell(point.ff).output() == point.wire)
+                .ok_or_else(|| bad(format!("{point:?} is not a flip-flop output")))?;
+            let (tag, after) = match *effect {
+                FaultEffect::MaskedWithinOneCycle => (0, 0),
+                FaultEffect::SilentRecovery { after } => (1, after),
+                FaultEffect::Latent => (2, 0),
+                FaultEffect::OutputFailure { after } => (3, after),
+            };
+            frame.u32(ff);
+            frame.u32(field(point.cycle)?);
+            frame.u8(tag);
+            frame.u32(field(after)?);
+        }
+        Ok(frame.finish())
     }
 
     fn decode(&self, input: &&Design, bytes: &[u8]) -> Result<CampaignResult, MateError> {
-        let text = artifact_utf8(self.name(), bytes)?;
-        let ff_of: HashMap<&str, (mate_netlist::CellId, NetId)> = input
+        let mut payload = frame::open(self.name(), CAMPAIGN_TAG, input, bytes)?;
+        let count = payload.usize()?;
+        let body = payload.rest();
+        let bad = |message: String| MateError::artifact(self.name(), message);
+        if count.checked_mul(RECORD_BYTES) != Some(body.len()) {
+            return Err(bad(format!("{count} records in {} bytes", body.len())));
+        }
+        let ffs: Vec<_> = input
             .topology
             .seq_cells()
             .iter()
-            .map(|&ff| {
-                let wire = input.netlist.cell(ff).output();
-                (input.netlist.net(wire).name(), (ff, wire))
-            })
+            .map(|&ff| (ff, input.netlist.cell(ff).output()))
             .collect();
-        let mut records = Vec::new();
-        for (idx, line) in text.lines().enumerate() {
-            if line.trim().is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let mut parts = line.split_whitespace();
-            let name = parts.next().ok_or_else(|| bad_line(self.name(), idx))?;
-            let cycle: usize = parse_field(self.name(), idx, parts.next().unwrap_or(""))?;
-            let effect = parts.next().ok_or_else(|| bad_line(self.name(), idx))?;
-            let &(ff, wire) = ff_of.get(name).ok_or_else(|| MateError::UnknownNet {
-                line: idx + 1,
-                name: name.to_owned(),
-            })?;
-            let effect = if effect == "masked" {
-                FaultEffect::MaskedWithinOneCycle
-            } else if effect == "latent" {
-                FaultEffect::Latent
-            } else if let Some(after) = effect.strip_prefix("recovery:") {
-                FaultEffect::SilentRecovery {
-                    after: parse_field(self.name(), idx, after)?,
-                }
-            } else if let Some(after) = effect.strip_prefix("failure:") {
-                FaultEffect::OutputFailure {
-                    after: parse_field(self.name(), idx, after)?,
-                }
-            } else {
-                return Err(MateError::artifact(
-                    self.name(),
-                    format!("line {}: unknown effect `{effect}`", idx + 1),
-                ));
+        let field = |b: &[u8]| u32::from_le_bytes(b.try_into().expect("4-byte field")) as usize;
+        let mut records = Vec::with_capacity(count);
+        for (idx, rec) in body.chunks_exact(RECORD_BYTES).enumerate() {
+            let (ordinal, cycle, tag, after) = (
+                field(&rec[0..4]),
+                field(&rec[4..8]),
+                rec[8],
+                field(&rec[9..13]),
+            );
+            let &(ff, wire) = ffs
+                .get(ordinal)
+                .ok_or_else(|| bad(format!("record {idx}: flip-flop {ordinal} out of range")))?;
+            let effect = match (tag, after) {
+                (0, 0) => FaultEffect::MaskedWithinOneCycle,
+                (1, after) => FaultEffect::SilentRecovery { after },
+                (2, 0) => FaultEffect::Latent,
+                (3, after) => FaultEffect::OutputFailure { after },
+                _ => return Err(bad(format!("record {idx}: bad effect {tag}:{after}"))),
             };
             records.push((FaultPoint { ff, wire, cycle }, effect));
         }
@@ -961,4 +1012,101 @@ fn bad_line(stage: &str, idx: usize) -> MateError {
 fn parse_field<T: std::str::FromStr>(stage: &str, idx: usize, text: &str) -> Result<T, MateError> {
     text.parse()
         .map_err(|_| MateError::artifact(stage, format!("line {}: bad number `{text}`", idx + 1)))
+}
+
+#[cfg(test)]
+mod tests {
+    use mate_netlist::examples::tmr_register;
+
+    use super::*;
+
+    fn tmr() -> Design {
+        let (netlist, topology) = tmr_register();
+        Design { netlist, topology }
+    }
+
+    fn stimuli() -> TraceSource {
+        TraceSource::Stimuli {
+            waves: vec![("load".into(), vec![true, false])],
+        }
+    }
+
+    /// A well-framed trace payload: correct tag, numbering and checksum.
+    fn trace_frame(design: &Design, num_nets: u64, cycles: u64, words: &[u64]) -> Vec<u8> {
+        let mut frame = FrameWriter::new(TRACE_TAG, design, 0);
+        frame.u64(num_nets);
+        frame.u64(cycles);
+        for &w in words {
+            frame.u64(w);
+        }
+        frame.finish()
+    }
+
+    /// A well-framed campaign payload of `(ordinal, cycle, tag, after)`
+    /// records under a declared `count`.
+    fn campaign_frame(design: &Design, count: u64, records: &[(u32, u32, u8, u32)]) -> Vec<u8> {
+        let mut frame = FrameWriter::new(CAMPAIGN_TAG, design, 0);
+        frame.u64(count);
+        for &(ordinal, cycle, tag, after) in records {
+            frame.u32(ordinal);
+            frame.u32(cycle);
+            frame.u8(tag);
+            frame.u32(after);
+        }
+        frame.finish()
+    }
+
+    #[test]
+    fn well_framed_but_invalid_traces_are_rejected() {
+        let design = tmr();
+        let stage = TraceCapture {
+            source: stimuli(),
+            cycles: 2,
+        };
+        let nets = design.netlist.num_nets() as u64;
+        assert!(nets < 64);
+        let decode = |bytes: Vec<u8>| stage.decode(&&design, &bytes);
+        assert!(decode(trace_frame(&design, nets, 2, &[1, 2])).is_ok());
+        // Another net count, a short or long body, set padding bits.
+        assert!(decode(trace_frame(&design, nets + 1, 2, &[1, 2])).is_err());
+        assert!(decode(trace_frame(&design, nets, 2, &[1])).is_err());
+        assert!(decode(trace_frame(&design, nets, 2, &[1, 2, 3])).is_err());
+        assert!(decode(trace_frame(&design, nets, 2, &[1, 1 << nets])).is_err());
+        assert!(decode(trace_frame(&design, nets, u64::MAX, &[1, 2])).is_err());
+        // A body that is not whole words.
+        let mut ragged = FrameWriter::new(TRACE_TAG, &design, 0);
+        ragged.u64(nets);
+        ragged.u64(0);
+        ragged.u8(0);
+        assert!(decode(ragged.finish()).is_err());
+    }
+
+    #[test]
+    fn well_framed_but_invalid_campaigns_are_rejected() {
+        let design = tmr();
+        let stage = Campaign {
+            source: stimuli(),
+            config: CampaignConfig::default(),
+            wires: None,
+        };
+        let ffs = design.topology.seq_cells().len() as u32;
+        let decode = |bytes: Vec<u8>| stage.decode(&&design, &bytes);
+        let valid = [(0, 0, 0, 0), (1, 3, 1, 2), (2, 4, 2, 0), (0, 5, 3, 7)];
+        let records = decode(campaign_frame(&design, 4, &valid)).unwrap().records;
+        assert_eq!(records.len(), 4);
+        assert_eq!(records[1].0.ff, design.topology.seq_cells()[1]);
+        assert_eq!(records[3].1, FaultEffect::OutputFailure { after: 7 });
+        // A count that disagrees with the body.
+        assert!(decode(campaign_frame(&design, 3, &valid)).is_err());
+        assert!(decode(campaign_frame(&design, 5, &valid)).is_err());
+        assert!(decode(campaign_frame(&design, u64::MAX, &valid)).is_err());
+        // An out-of-range ordinal, an unknown tag, `after` on an effect
+        // that has none.
+        for bad in [(ffs, 0, 0, 0), (0, 0, 4, 0), (0, 0, 0, 1), (0, 0, 2, 1)] {
+            assert!(
+                decode(campaign_frame(&design, 1, &[bad])).is_err(),
+                "{bad:?}"
+            );
+        }
+    }
 }

@@ -336,3 +336,67 @@ fn gmt_report_roundtrips_and_counts_entries() {
     assert!(flow.summary().records[1].cached);
     assert_eq!(second.value, first.value);
 }
+
+/// `LoadDesign` stores a Verilog source as `to_verilog` text, which
+/// declares inputs, then outputs, then wires.  A cold load must number
+/// nets as the warm decode does, or the trace and campaign artifacts —
+/// which are tied to the numbering — would never hit on the first warm
+/// run.
+#[test]
+fn verilog_sources_number_nets_the_same_cold_and_warm() {
+    let scratch = Scratch::new("verilog-numbering");
+    let source = || DesignSource::Verilog {
+        label: "declaration-order".into(),
+        text: "module m (a, y);\n  input a;\n  wire w;\n  output y;\n  \
+               INV g0 (.A(a), .Y(w));\n  DFF f0 (.D(w), .Q(y));\nendmodule\n"
+            .into(),
+    };
+    let names = |flow: &Flow| -> Vec<String> {
+        let netlist = &flow.design().netlist;
+        netlist.nets().iter().map(|n| n.name().to_owned()).collect()
+    };
+    let waves = || TraceSource::Stimuli {
+        waves: vec![("a".into(), vec![true, false, true])],
+    };
+    let config = CampaignConfig {
+        cycles: 6,
+        ..CampaignConfig::default()
+    };
+
+    let mut flow = Flow::new(scratch.store(), source()).unwrap();
+    let cold_names = names(&flow);
+    let cold_trace = flow.capture(waves(), 8).unwrap();
+    let cold_campaign = flow.campaign(waves(), config, None).unwrap();
+    assert_eq!(flow.summary().hits(), 0, "{}", flow.summary());
+
+    let mut flow = Flow::new(scratch.store(), source()).unwrap();
+    assert_eq!(names(&flow), cold_names);
+    let warm_trace = flow.capture(waves(), 8).unwrap();
+    let warm_campaign = flow.campaign(waves(), config, None).unwrap();
+    assert!(flow.summary().all_cached(), "{}", flow.summary());
+    assert_eq!(warm_trace.value, cold_trace.value);
+    assert_eq!(warm_campaign.value.records, cold_campaign.value.records);
+}
+
+/// An empty stimulus vector, or one driving a net that is not a primary
+/// input, is a typed error from both stages that run stimuli.
+#[test]
+fn bad_stimuli_are_errors_not_panics() {
+    let scratch = Scratch::new("bad-stimuli");
+    let mut flow = Flow::new(scratch.store(), tmr_source()).unwrap();
+    let empty = || TraceSource::Stimuli {
+        waves: vec![("din".into(), vec![])],
+    };
+    assert!(flow.capture(empty(), 8).is_err());
+    assert!(flow
+        .campaign(empty(), CampaignConfig::default(), None)
+        .is_err());
+
+    let internal = || TraceSource::Stimuli {
+        waves: vec![("r0".into(), vec![true])],
+    };
+    assert!(flow.capture(internal(), 8).is_err());
+    assert!(flow
+        .campaign(internal(), CampaignConfig::default(), None)
+        .is_err());
+}

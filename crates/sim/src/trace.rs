@@ -33,6 +33,42 @@ impl WaveTrace {
         }
     }
 
+    /// Rebuilds a trace from its [`WaveTrace::raw_words`] storage — the
+    /// inverse of that accessor.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MateError::Artifact`] unless `words` holds exactly
+    /// `cycles` rows of [`WaveTrace::words_per_cycle`] words and every
+    /// padding bit above `num_nets` in a row's last word is zero (trace
+    /// equality compares those bits).
+    pub fn from_raw_words(
+        num_nets: usize,
+        cycles: usize,
+        words: Vec<u64>,
+    ) -> Result<Self, MateError> {
+        let mut trace = Self::new(num_nets);
+        let bad = |message: String| MateError::artifact("wave-trace", message);
+        let expected = cycles
+            .checked_mul(trace.words_per_cycle)
+            .ok_or_else(|| bad(format!("{cycles} cycles overflow the trace size")))?;
+        if words.len() != expected {
+            return Err(bad(format!(
+                "{} words for {cycles} cycles of {num_nets} nets, expected {expected}",
+                words.len()
+            )));
+        }
+        let used = num_nets - (trace.words_per_cycle - 1) * WORD_LANES;
+        let padding = if used == WORD_LANES { 0 } else { !0u64 << used };
+        let stride = trace.words_per_cycle;
+        if let Some(cycle) = (0..cycles).find(|c| words[(c + 1) * stride - 1] & padding != 0) {
+            return Err(bad(format!("padding bits set in cycle {cycle}")));
+        }
+        trace.cycles = cycles;
+        trace.data = words;
+        Ok(trace)
+    }
+
     /// Number of nets per cycle.
     pub fn num_nets(&self) -> usize {
         self.num_nets
@@ -323,6 +359,36 @@ mod tests {
                 (0..130).filter(|&c| t.value(c, net)).count()
             );
         }
+    }
+
+    #[test]
+    fn from_raw_words_inverts_raw_words() {
+        for num_nets in [0usize, 1, 63, 64, 70, 128] {
+            for cycles in [0usize, 1, 5] {
+                let mut t = WaveTrace::new(num_nets);
+                for c in 0..cycles {
+                    let bits: Vec<bool> = (0..num_nets).map(|i| (c + i) % 3 == 0).collect();
+                    t.push_cycle(&bits);
+                }
+                let back = WaveTrace::from_raw_words(num_nets, cycles, t.raw_words().to_vec())
+                    .expect("raw words of a valid trace");
+                assert_eq!(back, t, "{num_nets} nets x {cycles} cycles");
+            }
+        }
+    }
+
+    #[test]
+    fn from_raw_words_rejects_bad_shapes_and_padding() {
+        // Wrong length, and a length product that overflows.
+        assert!(WaveTrace::from_raw_words(70, 2, vec![0; 3]).is_err());
+        assert!(WaveTrace::from_raw_words(70, usize::MAX, Vec::new()).is_err());
+        // Bit 70 lies above the 70 nets of the last cycle's second word.
+        assert!(WaveTrace::from_raw_words(70, 2, vec![0, 0, 0, 1 << 6]).is_err());
+        assert!(WaveTrace::from_raw_words(70, 2, vec![0, 0, 0, 1 << 5]).is_ok());
+        // A zero-net trace still stores one (all-padding) word per cycle.
+        assert!(WaveTrace::from_raw_words(0, 1, vec![1]).is_err());
+        // Full last words have no padding.
+        assert!(WaveTrace::from_raw_words(64, 1, vec![!0]).is_ok());
     }
 
     #[test]
