@@ -189,8 +189,9 @@ pub fn verify_mate_wire(
 ///
 /// * UNSAT (replay-checked) ⇒ [`Verdict::Proved`] over the full
 ///   `2^free`-assignment space.
-/// * SAT ⇒ [`Verdict::Refuted`] with a counterexample that has been
-///   re-simulated through the cone independently of the CNF.
+/// * SAT ⇒ [`Verdict::Refuted`] with a counterexample — the least escaping
+///   border assignment in border order — that has been re-simulated
+///   through the cone independently of the CNF.
 /// * Budget exhausted ⇒ [`Verdict::Bounded`] with `checked = 0` (nothing
 ///   was exhaustively covered; the counters record the effort).
 pub fn verify_mate_wire_sat(

@@ -103,7 +103,7 @@ impl<'a> Stage<(&'a Design, &'a MateSet)> for Analyze {
 
     /// Also the artifact header's format tag: bump it with the format.
     fn version(&self) -> u32 {
-        3
+        4
     }
 
     fn fingerprint(&self, h: &mut ContentHasher) {
@@ -232,15 +232,28 @@ impl<'a> Stage<(&'a Design, &'a MateSet)> for Analyze {
         let (_, header) = lines
             .next()
             .ok_or_else(|| MateError::artifact(self.name(), "empty artifact"))?;
-        let header_field = |key: &str| -> Result<&str, MateError> {
+        let tag = format!("v{}", self.version());
+        if header
+            .split_whitespace()
+            .take(3)
+            .ne(["#", "analyze", tag.as_str()])
+        {
+            return Err(MateError::artifact(
+                self.name(),
+                format!("header is not `# analyze {tag} …`"),
+            ));
+        }
+        let header_field = |key: &str| -> Result<u64, MateError> {
             header
                 .split_whitespace()
                 .find_map(|tok| tok.strip_prefix(key))
-                .ok_or_else(|| MateError::artifact(self.name(), format!("header missing {key}")))
+                .ok_or_else(|| MateError::artifact(self.name(), format!("header missing {key}")))?
+                .parse::<u64>()
+                .map_err(|_| {
+                    MateError::artifact(self.name(), format!("header {key} is not a number"))
+                })
         };
-        let conflict_budget = header_field("budget=")?
-            .parse::<u64>()
-            .map_err(|_| MateError::artifact(self.name(), "header budget= is not a number"))?;
+        let conflict_budget = header_field("budget=")?;
 
         let cells_by_name: HashMap<&str, mate_netlist::CellId> = n
             .cells()
@@ -423,6 +436,20 @@ impl<'a> Stage<(&'a Design, &'a MateSet)> for Analyze {
                     ));
                 }
                 None => return Err(bad_line(self.name(), idx)),
+            }
+        }
+        // A truncated or line-dropped artifact still parses record by
+        // record; the header's counts catch it.
+        for (key, records) in [
+            ("diags=", diagnostics.len()),
+            ("verdicts=", verdicts.len()),
+            ("coverage=", coverage.len()),
+        ] {
+            if header_field(key)? != records as u64 {
+                return Err(MateError::artifact(
+                    self.name(),
+                    format!("header {key} does not match the {records} records present"),
+                ));
             }
         }
         Ok(AnalysisReport {

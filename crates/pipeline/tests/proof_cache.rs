@@ -2,7 +2,9 @@
 //! artifact identity, the thread count is not.  Plants a report under one
 //! configuration and probes it with a different thread count (hit), with
 //! a budget switch (miss), and with a planted verdict line that lacks
-//! solver counters (recomputed).
+//! solver counters (recomputed).  A truncated or line-dropped artifact
+//! still parses record by record, so the header's record counts must
+//! catch it: every such artifact is recomputed too.
 
 use std::path::PathBuf;
 
@@ -130,4 +132,52 @@ fn budget_switch_misses_while_thread_count_hits() {
     );
     assert_eq!(recomputed_key, planted_key);
     assert_eq!(recomputed, planted);
+}
+
+#[test]
+fn truncated_or_line_dropped_artifacts_are_recomputed() {
+    let scratch = Scratch::new("damaged");
+    let config = VerifyConfig {
+        threads: 1,
+        ..VerifyConfig::default()
+    };
+    let (key, cold, cached) = run_analyze(scratch.store(), config);
+    assert!(!cached, "first run must compute");
+    let store = scratch.store();
+    let valid = store.load("analyze", &key).unwrap().unwrap();
+    let text = String::from_utf8(valid.clone()).unwrap();
+    let lines: Vec<&str> = text.lines().collect();
+    assert!(
+        lines.iter().any(|l| l.starts_with("V\t")) && lines.iter().any(|l| l.starts_with("C\t")),
+        "the planted report has verdict and coverage lines"
+    );
+
+    let joined = |keep: &mut dyn FnMut(usize) -> bool| -> String {
+        lines
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| keep(i))
+            .map(|(_, l)| format!("{l}\n"))
+            .collect()
+    };
+    // Cut at every line boundary short of the whole artifact, then each
+    // line deleted in turn, then a header from the previous format.
+    let mut damaged: Vec<String> = (0..lines.len())
+        .map(|cut| joined(&mut |i| i < cut))
+        .collect();
+    damaged.extend((0..lines.len()).map(|gone| joined(&mut |i| i != gone)));
+    damaged.push(text.replacen("# analyze v4 ", "# analyze v3 ", 1));
+
+    for bytes in damaged {
+        store.save("analyze", &key, bytes.as_bytes()).unwrap();
+        let (recomputed_key, recomputed, cached) = run_analyze(scratch.store(), config);
+        assert!(!cached, "a damaged artifact must be recomputed:\n{bytes}");
+        assert_eq!(recomputed_key, key);
+        assert_eq!(recomputed, cold);
+        assert_eq!(
+            store.load("analyze", &key).unwrap().unwrap(),
+            valid,
+            "the recompute must leave a valid artifact"
+        );
+    }
 }
