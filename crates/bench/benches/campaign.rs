@@ -107,12 +107,12 @@ fn measure(
     group.sample_size(10);
     group.throughput(Throughput::Elements(points as u64));
     group.bench_function("scalar", |b| {
-        b.iter(|| run_campaign(harness, &space, config).unwrap())
+        b.iter(|| run_campaign(harness, &space, config).unwrap());
     });
     for engine in CampaignEngine::all() {
         let cfg = CampaignConfig { engine, ..*config };
-        group.bench_function(&format!("{engine}"), |b| {
-            b.iter(|| run_campaign_wide(harness, &space, &cfg).unwrap())
+        group.bench_function(format!("{engine}"), |b| {
+            b.iter(|| run_campaign_wide(harness, &space, &cfg).unwrap());
         });
     }
     group.finish();

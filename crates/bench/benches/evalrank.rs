@@ -134,10 +134,10 @@ fn measure_eval_and_rank(
     group.sample_size(10);
     group.throughput(Throughput::Elements(points as u64));
     group.bench_function("scalar", |b| {
-        b.iter(|| evaluate_scalar(mates, trace, wires))
+        b.iter(|| evaluate_scalar(mates, trace, wires));
     });
     group.bench_function("word_parallel", |b| {
-        b.iter(|| evaluate_transposed(mates, &transposed, wires))
+        b.iter(|| evaluate_transposed(mates, &transposed, wires));
     });
     group.finish();
 
@@ -145,7 +145,7 @@ fn measure_eval_and_rank(
     group.sample_size(10);
     group.bench_function("eager", |b| b.iter(|| rank_eager(mates, trace, wires)));
     group.bench_function("lazy_celf", |b| {
-        b.iter(|| rank_transposed(mates, &transposed, wires))
+        b.iter(|| rank_transposed(mates, &transposed, wires));
     });
     group.finish();
 
@@ -209,10 +209,10 @@ fn measure_campaign(
     group.sample_size(10);
     group.throughput(Throughput::Elements(points as u64));
     group.bench_function("1_thread", |b| {
-        b.iter(|| run_campaign_wide(harness, &space, &one).unwrap())
+        b.iter(|| run_campaign_wide(harness, &space, &one).unwrap());
     });
     group.bench_function(format!("{threads}_threads"), |b| {
-        b.iter(|| run_campaign_wide(harness, &space, &many).unwrap())
+        b.iter(|| run_campaign_wide(harness, &space, &many).unwrap());
     });
     group.finish();
 
@@ -343,9 +343,7 @@ fn main() {
         (e, r, m)
     };
 
-    let host_cpus = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
+    let host_cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     eprintln!(
         "evaluate: scalar {:.0} points/s, word-parallel {:.0} points/s ({:.1}x)",
         eval_m.scalar_pps,

@@ -69,7 +69,7 @@ fn measure_design(
         group.sample_size(10);
         group.throughput(Throughput::Elements(stats.candidates));
         group.bench_function("optimized", |b| {
-            b.iter(|| search_design(netlist, topo, wires, &config))
+            b.iter(|| search_design(netlist, topo, wires, &config));
         });
         group.finish();
 
@@ -145,7 +145,7 @@ fn main() {
 
     let host_cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     for (name, measured) in [("avr", &avr_m), ("msp430", &msp_m)] {
-        for m in measured.iter() {
+        for m in measured {
             eprintln!(
                 "{name}/{}: {} wires, {} candidates — {:.0} cand/s",
                 m.strategy, m.wires, m.candidates, m.candidates_per_sec

@@ -11,6 +11,8 @@
 //! Runs on the AVR core with fib(); pass `--fast` for a reduced sweep.
 //! Every search runs through the artifact-cached pipeline, so re-running
 //! the sweep (or any table binary sharing the store) reuses prior results.
+//! Each sweep's search times print on one `# ` line after its table, which
+//! the results drift check skips.
 //!
 //! ```text
 //! cargo run -p mate-bench --bin ablation --release
@@ -57,63 +59,75 @@ fn main() {
 
     println!("### Path-enumeration depth");
     println!(
-        "{:>6} {:>8} {:>12} {:>10} {:>12} {:>8}",
-        "depth", "#MATEs", "#unmaskable", "FF %", "w/o RF %", "time"
+        "{:>6} {:>8} {:>12} {:>10} {:>12}",
+        "depth", "#MATEs", "#unmaskable", "FF %", "w/o RF %"
     );
     let depths: &[usize] = if fast { &[2, 5, 8] } else { &[2, 4, 6, 8, 10] };
+    let mut times = Vec::new();
     for &depth in depths {
         let (m, u, all, norf, secs) = measure(&SearchConfig { depth, ..base });
-        println!("{depth:>6} {m:>8} {u:>12} {all:>9.2}% {norf:>11.2}% {secs:>7.1}s");
+        println!("{depth:>6} {m:>8} {u:>12} {all:>9.2}% {norf:>11.2}%");
+        times.push(secs);
     }
+    print_times(&times);
 
     println!();
     println!("### Maximum gate-masking terms per MATE");
     println!(
-        "{:>6} {:>8} {:>12} {:>10} {:>12} {:>8}",
-        "terms", "#MATEs", "#unmaskable", "FF %", "w/o RF %", "time"
+        "{:>6} {:>8} {:>12} {:>10} {:>12}",
+        "terms", "#MATEs", "#unmaskable", "FF %", "w/o RF %"
     );
     let terms: &[usize] = if fast {
         &[2, 4, 8]
     } else {
         &[1, 2, 4, 6, 8, 10]
     };
+    let mut times = Vec::new();
     for &max_terms in terms {
         let (m, u, all, norf, secs) = measure(&SearchConfig { max_terms, ..base });
-        println!("{max_terms:>6} {m:>8} {u:>12} {all:>9.2}% {norf:>11.2}% {secs:>7.1}s");
+        println!("{max_terms:>6} {m:>8} {u:>12} {all:>9.2}% {norf:>11.2}%");
+        times.push(secs);
     }
+    print_times(&times);
 
     println!();
     println!("### Candidate budget per wire");
     println!(
-        "{:>8} {:>8} {:>10} {:>12} {:>8}",
-        "budget", "#MATEs", "FF %", "w/o RF %", "time"
+        "{:>8} {:>8} {:>10} {:>12}",
+        "budget", "#MATEs", "FF %", "w/o RF %"
     );
     let budgets: &[usize] = if fast {
         &[500, 2_000, 5_000]
     } else {
         &[1_000, 5_000, 20_000, 50_000]
     };
+    let mut times = Vec::new();
     for &max_candidates in budgets {
         let (m, _, all, norf, secs) = measure(&SearchConfig {
             max_candidates,
             ..base
         });
-        println!("{max_candidates:>8} {m:>8} {all:>9.2}% {norf:>11.2}% {secs:>7.1}s");
+        println!("{max_candidates:>8} {m:>8} {all:>9.2}% {norf:>11.2}%");
+        times.push(secs);
     }
+    print_times(&times);
 
     println!();
     println!("### Strategy: paper-style combination search vs. goal-directed repair");
     println!(
-        "{:>12} {:>8} {:>12} {:>10} {:>12} {:>8}",
-        "strategy", "#MATEs", "#unmaskable", "FF %", "w/o RF %", "time"
+        "{:>12} {:>8} {:>12} {:>10} {:>12}",
+        "strategy", "#MATEs", "#unmaskable", "FF %", "w/o RF %"
     );
+    let mut times = Vec::new();
     for (name, strategy) in [
         ("exhaustive", SearchStrategy::Exhaustive),
         ("repair", SearchStrategy::Repair),
     ] {
         let (m, u, all, norf, secs) = measure(&SearchConfig { strategy, ..base });
-        println!("{name:>12} {m:>8} {u:>12} {all:>9.2}% {norf:>11.2}% {secs:>7.1}s");
+        println!("{name:>12} {m:>8} {u:>12} {all:>9.2}% {norf:>11.2}%");
+        times.push(secs);
     }
+    print_times(&times);
 
     println!();
     println!("### Masked%% vs. selected top-N (w/o RF wire set)");
@@ -136,4 +150,10 @@ fn main() {
     );
 
     eprintln!("{}", flow.summary());
+}
+
+/// Prints one sweep's search times, in row order, on a `# ` line.
+fn print_times(secs: &[f64]) {
+    let times: Vec<String> = secs.iter().map(|s| format!("{s:.1}s")).collect();
+    println!("# search time per row: {}", times.join(" "));
 }

@@ -35,7 +35,10 @@ fn main() {
         .iter()
         .map(|&ff| netlist.cell(ff).output())
         .collect();
-    let pairs: Vec<Vec<mate_netlist::NetId>> = ffs.windows(2).map(|w| w.to_vec()).collect();
+    let pairs: Vec<Vec<mate_netlist::NetId>> = ffs
+        .windows(2)
+        .map(<[mate_netlist::NetId]>::to_vec)
+        .collect();
 
     eprintln!(
         "searching 2-bit MATEs for {} adjacent pairs ...",
@@ -48,11 +51,12 @@ fn main() {
     let total_mates: usize = results.iter().map(|r| r.mates.len()).sum();
     println!("## 2-bit MATEs for adjacent flip-flop pairs (AVR)");
     println!(
-        "pairs: {}, maskable pairs: {maskable_pairs}, 2-bit MATEs: {total_mates}, \
-         search time: {:.1?}",
-        pairs.len(),
-        start.elapsed()
+        "pairs: {}, maskable pairs: {maskable_pairs}, 2-bit MATEs: {total_mates}",
+        pairs.len()
     );
+    // Wall-clock figures go on `# ` lines, which the results drift check
+    // skips.
+    println!("# search time: {:.1?}", start.elapsed());
 
     // Evaluate against the fib() trace: a pair point (pair, cycle) is
     // pruned when some 2-bit MATE of the pair triggers in that cycle.

@@ -420,7 +420,7 @@ mod tests {
         let report = evaluate(&MateSet::default(), &trace, &wires);
         assert_eq!(report.matrix.masked_points(), 0);
         assert_eq!(report.effective, 0);
-        assert_eq!(report.avg_inputs, 0.0);
+        assert_eq!(report.avg_inputs.to_bits(), 0f64.to_bits());
     }
 
     #[test]

@@ -239,26 +239,22 @@ impl fmt::Display for CampaignEngine {
     }
 }
 
-/// Classifies a batch of fault points against `golden`, choosing the
-/// fastest sound path the harness supports:
+/// Classifies a batch of fault points against `golden` on one of two
+/// paths, both bit-identical to one [`inject`] per point:
 ///
-/// 1. **Wide** — no external devices and pure stimuli: up to 64 fault
-///    points per injection cycle are packed into the lanes of a batched
-///    engine seeded directly from the golden trace at the injection cycle,
-///    then classified in lock-step with per-lane early retirement.
-///    `engine` picks between the event-driven
-///    [`CampaignEngine::Differential`] engine and the full-settle
-///    [`CampaignEngine::FullSettle`] reference; [`CampaignEngine::Auto`]
-///    resolves to one of them from the design.
-/// 2. **Checkpointed scalar** — all devices snapshotable and pure stimuli:
-///    one incremental golden run captures a checkpoint at every injection
-///    cycle; each faulty run is seeded by restore instead of replaying the
-///    warm-up prefix.
-/// 3. **Scalar fallback** — anything else: one [`inject`] per point.
+/// 1. **Wide** — no external devices: up to 64 fault points per injection
+///    cycle are packed into the lanes of a batched engine seeded directly
+///    from the golden trace at the injection cycle, then classified in
+///    lock-step with per-lane early retirement.  `engine` picks between the
+///    event-driven [`CampaignEngine::Differential`] engine and the
+///    full-settle [`CampaignEngine::FullSettle`] reference;
+///    [`CampaignEngine::Auto`] resolves to one of them from the design.
+/// 2. **Checkpointed scalar** — a testbench with devices (the cores'
+///    memories): one incremental golden run captures a checkpoint at every
+///    injection cycle; each faulty run is seeded by restore instead of
+///    replaying the warm-up prefix.
 ///
-/// All paths — every engine included — produce bit-identical
-/// [`FaultEffect`] classifications.  Results are returned in the order of
-/// `points`.
+/// Results are returned in the order of `points`.
 ///
 /// # Errors
 ///
@@ -273,22 +269,15 @@ pub fn classify_points(
     for p in points {
         check_horizon(golden, p.cycle)?;
     }
-    let probe = harness.testbench();
-    Ok(if probe.can_run_wide() {
+    Ok(if harness.testbench().can_run_wide() {
         match engine.resolve(harness.topology()) {
             CampaignEngine::FullSettle => classify_points_full_settle(harness, golden, points),
             CampaignEngine::Differential | CampaignEngine::Auto => {
                 classify_points_differential(harness, golden, points)
             }
         }
-    } else if probe.can_checkpoint() {
-        classify_points_checkpoint(harness, golden, points)
     } else {
-        let mut effects = Vec::with_capacity(points.len());
-        for &p in points {
-            effects.push(inject(harness, golden, p)?);
-        }
-        effects
+        classify_points_checkpoint(harness, golden, points)
     })
 }
 
@@ -371,9 +360,9 @@ fn classify_points_full_settle(
     points: &[FaultPoint],
 ) -> Vec<FaultEffect> {
     let horizon = golden.trace.num_cycles();
-    // The testbench is used purely as a stimulus source; pure waves may be
+    // The testbench is used purely as a stimulus source; its waves may be
     // sampled at arbitrary cycles.
-    let mut stim = harness.testbench();
+    let stim = harness.testbench();
     let mut wide = WideSimulator::new(harness.netlist(), harness.topology());
     // Golden comparisons are precomputed per cycle: the observed nets are
     // partitioned by golden value once, outside the chunk loop, so the
@@ -479,75 +468,54 @@ fn classify_points_differential(
             for (lane, &idx) in chunk.iter().enumerate() {
                 delta.flip_ff(points[idx].ff, lane);
             }
-            retire_chunk_differential(
-                &mut delta,
-                &transposed,
-                &flags,
-                cycle,
-                horizon,
-                low_lanes(chunk.len()),
-                |lane, effect| effects[chunk[lane]] = effect,
-            );
+            let mut active = low_lanes(chunk.len());
+            for t in cycle..horizon {
+                delta.settle(&transposed);
+                let before = active;
+                // One scan of the (small) nonzero-delta set yields both
+                // divergence masks; every other net equals golden in all
+                // lanes.
+                let [out_diff, state_diff] = delta.scan_flagged(&flags);
+                // Outputs first, mirroring the scalar classifier's priority.
+                let failed = out_diff & active;
+                if failed != 0 {
+                    for_each_lane(failed, |lane| {
+                        effects[chunk[lane]] = FaultEffect::OutputFailure { after: t - cycle };
+                    });
+                    active &= !failed;
+                }
+                if t > cycle && active != 0 {
+                    let converged = active & !state_diff;
+                    if converged != 0 {
+                        let after = t - cycle;
+                        for_each_lane(converged, |lane| {
+                            effects[chunk[lane]] = if after == 1 {
+                                FaultEffect::MaskedWithinOneCycle
+                            } else {
+                                FaultEffect::SilentRecovery { after }
+                            };
+                        });
+                        active &= !converged;
+                    }
+                }
+                if active == 0 {
+                    break;
+                }
+                if active != before {
+                    // Retired lanes' deltas are dead weight (every
+                    // classification read is `& active`-masked): dropping
+                    // them here shrinks the dirty frontier to the cones of
+                    // the undecided lanes, instead of dragging the
+                    // classified faults' cones to the horizon.
+                    delta.retain_lanes(active);
+                }
+                delta.tick();
+            }
+            // Lanes still active at the horizon never re-converged: Latent,
+            // which `effects` was initialized with.
         }
     }
     effects
-}
-
-/// Runs one lane chunk of the differential engine from `cycle` to the
-/// horizon, calling `retire(lane, effect)` as lanes classify.  Lanes still
-/// active at the horizon are `Latent` and are *not* reported.
-fn retire_chunk_differential(
-    delta: &mut DeltaSimulator<'_>,
-    transposed: &TransposedTrace,
-    flags: &[u8],
-    cycle: usize,
-    horizon: usize,
-    mut active: u64,
-    mut retire: impl FnMut(usize, FaultEffect),
-) {
-    for t in cycle..horizon {
-        delta.settle(transposed);
-        let before = active;
-        // One scan of the (small) nonzero-delta set yields both divergence
-        // masks; every other net equals golden in all lanes.
-        let [out_diff, state_diff] = delta.scan_flagged(flags);
-        // Outputs first, mirroring the scalar classifier's priority.
-        let failed = out_diff & active;
-        if failed != 0 {
-            for_each_lane(failed, |lane| {
-                retire(lane, FaultEffect::OutputFailure { after: t - cycle });
-            });
-            active &= !failed;
-        }
-        if t > cycle && active != 0 {
-            let converged = active & !state_diff;
-            if converged != 0 {
-                let after = t - cycle;
-                for_each_lane(converged, |lane| {
-                    retire(
-                        lane,
-                        if after == 1 {
-                            FaultEffect::MaskedWithinOneCycle
-                        } else {
-                            FaultEffect::SilentRecovery { after }
-                        },
-                    );
-                });
-                active &= !converged;
-            }
-        }
-        if active == 0 {
-            break;
-        }
-        if active != before {
-            // Retired lanes' deltas are dead weight (every classification
-            // read is `& active`-masked): dropping them here shrinks the
-            // dirty frontier to the cones of the undecided lanes, instead
-            // of dragging the classified faults' cones to the horizon.
-            delta.retain_lanes(active);
-        }
-        delta.tick();
-    }
 }
 
 /// The checkpointed scalar engine behind [`classify_points`]: one
@@ -585,20 +553,6 @@ fn classify_points_checkpoint(
         .collect()
 }
 
-/// Validates one simultaneous multi-bit SEU set and returns its cycle.
-fn multi_set_cycle(golden: &GoldenRun, points: &[FaultPoint]) -> Result<usize, MateError> {
-    let Some(first) = points.first() else {
-        return Err(MateError::campaign("need at least one fault point"));
-    };
-    if points.iter().any(|p| p.cycle != first.cycle) {
-        return Err(MateError::campaign(
-            "multi-bit upsets are simultaneous: all points must share one cycle",
-        ));
-    }
-    check_horizon(golden, first.cycle)?;
-    Ok(first.cycle)
-}
-
 /// Injects a *simultaneous* multi-bit SEU (all points in the same cycle)
 /// and classifies it against `golden` — the fault model of the paper's
 /// Section 6.2.
@@ -612,7 +566,16 @@ pub fn inject_multi(
     golden: &GoldenRun,
     points: &[FaultPoint],
 ) -> Result<FaultEffect, MateError> {
-    let cycle = multi_set_cycle(golden, points)?;
+    let Some(first) = points.first() else {
+        return Err(MateError::campaign("need at least one fault point"));
+    };
+    if points.iter().any(|p| p.cycle != first.cycle) {
+        return Err(MateError::campaign(
+            "multi-bit upsets are simultaneous: all points must share one cycle",
+        ));
+    }
+    let cycle = first.cycle;
+    check_horizon(golden, cycle)?;
     let mut tb = harness.testbench();
     for _ in 0..cycle {
         tb.step();
@@ -621,75 +584,6 @@ pub fn inject_multi(
         tb.sim_mut().flip_ff(point.ff);
     }
     Ok(classify(&mut tb, golden, cycle))
-}
-
-/// Classifies a batch of simultaneous multi-bit SEU *sets* — one set per
-/// lane — against `golden`: the batched counterpart of [`inject_multi`].
-/// Wide-capable harnesses run on the differential engine (up to 64 whole
-/// sets per pass); anything else falls back to one scalar [`inject_multi`]
-/// per set.  Results are returned in the order of `sets` and are
-/// bit-identical to the scalar path.
-///
-/// # Errors
-///
-/// Returns [`MateError::Campaign`] if any set is empty, mixes cycles, or
-/// lies beyond the golden trace.
-pub fn classify_multi_points(
-    harness: &dyn DesignHarness,
-    golden: &GoldenRun,
-    sets: &[Vec<FaultPoint>],
-) -> Result<Vec<FaultEffect>, MateError> {
-    for set in sets {
-        multi_set_cycle(golden, set)?;
-    }
-    if !harness.testbench().can_run_wide() {
-        return sets
-            .iter()
-            .map(|set| inject_multi(harness, golden, set))
-            .collect();
-    }
-    Ok(classify_multi_differential(harness, golden, sets))
-}
-
-/// The lane-parallel body of [`classify_multi_points`]: identical chunking
-/// to [`classify_points_differential`], except each lane carries *all*
-/// flips of its set.
-fn classify_multi_differential(
-    harness: &dyn DesignHarness,
-    golden: &GoldenRun,
-    sets: &[Vec<FaultPoint>],
-) -> Vec<FaultEffect> {
-    let horizon = golden.trace.num_cycles();
-    let transposed = TransposedTrace::from_trace(&golden.trace);
-    let flags = observed_flags(harness.netlist().num_nets(), golden);
-    let mut delta = DeltaSimulator::new(harness.netlist(), harness.topology());
-
-    let mut by_cycle: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-    for (idx, set) in sets.iter().enumerate() {
-        by_cycle.entry(set[0].cycle).or_default().push(idx);
-    }
-
-    let mut effects = vec![FaultEffect::Latent; sets.len()];
-    for (&cycle, indices) in &by_cycle {
-        for chunk in indices.chunks(WORD_LANES) {
-            delta.begin(cycle);
-            for (lane, &idx) in chunk.iter().enumerate() {
-                for point in &sets[idx] {
-                    delta.flip_ff(point.ff, lane);
-                }
-            }
-            retire_chunk_differential(
-                &mut delta,
-                &transposed,
-                &flags,
-                cycle,
-                horizon,
-                low_lanes(chunk.len()),
-                |lane, effect| effects[chunk[lane]] = effect,
-            );
-        }
-    }
-    effects
 }
 
 /// Injects an upset that *holds* for `hold_cycles` cycles: the flip-flop is
@@ -1097,7 +991,7 @@ mod tests {
         let total: usize = histogram.values().sum();
         assert_eq!(total, result.len());
         // TMR masks every single-replica fault.
-        assert_eq!(result.masked_one_cycle_fraction(), 1.0);
+        assert_eq!(result.masked_one_cycle_fraction().to_bits(), 1f64.to_bits());
     }
 
     #[test]
@@ -1179,7 +1073,7 @@ mod tests {
             .drive(input, (0..=cycles).map(|c| c % 3 == 1).collect::<Vec<_>>());
         let scalar = assert_engines_match_inject(&harness, cycles);
         let classes: std::collections::HashSet<_> =
-            scalar.iter().map(|e| std::mem::discriminant(e)).collect();
+            scalar.iter().map(std::mem::discriminant).collect();
         assert!(classes.len() >= 2, "degenerate workload");
     }
 
@@ -1231,8 +1125,8 @@ mod tests {
                     &harness,
                     &space,
                     &CampaignConfig {
-                        engine,
                         threads,
+                        engine,
                         ..base
                     },
                 )
@@ -1246,7 +1140,7 @@ mod tests {
     }
 
     #[test]
-    fn multi_point_batch_matches_scalar_inject_multi() {
+    fn inject_multi_on_tmr() {
         let (n, topo) = tmr_register();
         let load = n.find_net("load").unwrap();
         let din = n.find_net("din").unwrap();
@@ -1263,24 +1157,27 @@ mod tests {
                 cycle,
             }
         };
-        // Single, double, and triple flips: TMR masks one replica, loses to
-        // two or three.
-        let sets: Vec<Vec<FaultPoint>> = vec![
-            vec![point(0, 3)],
-            vec![point(0, 3), point(1, 3)],
-            vec![point(0, 2), point(1, 2), point(2, 2)],
-            vec![point(2, 4)],
-        ];
-        let scalar: Vec<FaultEffect> = sets
-            .iter()
-            .map(|s| inject_multi(&harness, &golden, s).unwrap())
-            .collect();
-        let batched = classify_multi_points(&harness, &golden, &sets).unwrap();
-        assert_eq!(scalar, batched);
+        let effect = |set: &[FaultPoint]| inject_multi(&harness, &golden, set).unwrap();
+        // TMR masks one replica and loses to two or three.
+        assert_eq!(effect(&[point(0, 3)]), FaultEffect::MaskedWithinOneCycle);
+        assert_eq!(
+            effect(&[point(0, 3), point(1, 3)]),
+            FaultEffect::OutputFailure { after: 0 }
+        );
+        assert_eq!(
+            effect(&[point(0, 2), point(1, 2), point(2, 2)]),
+            FaultEffect::OutputFailure { after: 0 }
+        );
+        assert_eq!(effect(&[point(2, 4)]), FaultEffect::MaskedWithinOneCycle);
+        // One flip-flop flipped twice: the flips cancel.
+        assert_eq!(
+            effect(&[point(0, 3), point(0, 3)]),
+            FaultEffect::MaskedWithinOneCycle
+        );
     }
 
     #[test]
-    fn multi_point_batch_rejects_bad_sets() {
+    fn inject_multi_rejects_bad_sets() {
         let (n, topo) = counter(3);
         let en = n.find_net("en").unwrap();
         let harness = StimulusHarness::new(n, topo).drive(en, vec![true]);
@@ -1288,12 +1185,9 @@ mod tests {
         let ff = harness.topology().seq_cells()[0];
         let wire = harness.netlist().cell(ff).output();
         let p = |cycle| FaultPoint { ff, wire, cycle };
-        let empty: Vec<Vec<FaultPoint>> = vec![vec![]];
-        assert!(classify_multi_points(&harness, &golden, &empty).is_err());
-        let mixed = vec![vec![p(1), p(2)]];
-        assert!(classify_multi_points(&harness, &golden, &mixed).is_err());
-        let beyond = vec![vec![p(99)]];
-        assert!(classify_multi_points(&harness, &golden, &beyond).is_err());
+        assert!(inject_multi(&harness, &golden, &[]).is_err());
+        assert!(inject_multi(&harness, &golden, &[p(1), p(2)]).is_err());
+        assert!(inject_multi(&harness, &golden, &[p(99)]).is_err());
     }
 
     #[test]
@@ -1351,14 +1245,17 @@ mod tests {
         let un = PruningStats::unpruned(10);
         assert_eq!(un.points, 10);
         assert_eq!(un.fallback, 10);
-        assert_eq!(un.skip_rate(), 0.0);
-        assert_eq!(PruningStats::default().skip_rate(), 0.0);
+        assert_eq!(un.skip_rate().to_bits(), 0f64.to_bits());
+        assert_eq!(
+            PruningStats::default().skip_rate().to_bits(),
+            0f64.to_bits()
+        );
         let quarter = PruningStats {
             points: 4,
             skipped: 1,
             ..PruningStats::default()
         };
-        assert_eq!(quarter.skip_rate(), 0.25);
+        assert_eq!(quarter.skip_rate().to_bits(), 0.25f64.to_bits());
     }
 
     #[test]
@@ -1374,6 +1271,6 @@ mod tests {
         assert!(FaultEffect::MaskedWithinOneCycle.is_masked_one_cycle());
         assert!(FaultEffect::Latent.is_silent());
         assert!(!FaultEffect::OutputFailure { after: 2 }.is_silent());
-        assert!(format!("{}", FaultEffect::SilentRecovery { after: 3 }).contains("3"));
+        assert!(format!("{}", FaultEffect::SilentRecovery { after: 3 }).contains('3'));
     }
 }

@@ -197,6 +197,9 @@ mod tests {
         let savings = m.savings(1000);
         assert!(savings > 0.3, "coarse commands must save bandwidth");
         assert_eq!(m.coarse_bits(0), 0);
-        assert_eq!(CommandModel::for_space(0, 0).savings(0), 0.0);
+        assert_eq!(
+            CommandModel::for_space(0, 0).savings(0).to_bits(),
+            0f64.to_bits()
+        );
     }
 }

@@ -1,15 +1,14 @@
 //! The batched campaign engines must be pure performance changes: every
-//! path through [`classify_points`] — differential, full-settle,
-//! checkpointed scalar, and the scalar fallback — at every thread count,
-//! has to produce classifications bit-identical to one [`inject`] call per
-//! fault point.
+//! path through [`classify_points`] — the differential and full-settle wide
+//! engines and the checkpointed scalar path — at every thread count, has to
+//! produce classifications bit-identical to one [`inject`] call per fault
+//! point.
 
 use proptest::prelude::*;
 
 use mate_hafi::{
-    classify_multi_points, classify_points, golden_run, inject, inject_multi, run_campaign,
-    run_campaign_wide, CampaignConfig, CampaignEngine, CampaignResult, DesignHarness, FaultPoint,
-    FaultSpace, StimulusHarness,
+    classify_points, golden_run, inject, run_campaign, run_campaign_wide, CampaignConfig,
+    CampaignEngine, CampaignResult, DesignHarness, FaultPoint, FaultSpace, StimulusHarness,
 };
 use mate_netlist::random::{random_circuit, RandomCircuitConfig};
 use mate_netlist::WORD_LANES;
@@ -180,46 +179,6 @@ proptest! {
         }
     }
 
-    /// Batched multi-SEU sets (one whole set per lane) classify exactly
-    /// like one scalar `inject_multi` per set — the `core/src/multi.rs`
-    /// fault model on the differential engine — including a duplicated
-    /// point inside a set, whose two flips cancel.
-    #[test]
-    fn multi_seu_sets_match_scalar_inject_multi(seed in 0u64..5_000) {
-        let cfg = RandomCircuitConfig { inputs: 3, ffs: 7, gates: 24, outputs: 2 };
-        let cycles = 10;
-        let harness = harness_for(seed.wrapping_add(23), cfg, cycles + 1);
-        prop_assert!(harness.testbench().can_run_wide());
-
-        let golden = golden_run(&harness, cycles + 1);
-        let space = FaultSpace::all_ffs(harness.netlist(), harness.topology(), cycles);
-        let points: Vec<FaultPoint> = space.iter().collect();
-        // Pair up points within each cycle into 2- and 3-bit sets, plus the
-        // singletons, mimicking the adjacent-FF sets of the multi-SEU
-        // search, and one set flipping the same flip-flop twice, which
-        // cancels to a no-op.
-        let mut sets: Vec<Vec<FaultPoint>> = Vec::new();
-        for cycle in 0..cycles {
-            let in_cycle: Vec<FaultPoint> =
-                points.iter().copied().filter(|p| p.cycle == cycle).collect();
-            for pair in in_cycle.windows(2) {
-                sets.push(pair.to_vec());
-            }
-            for triple in in_cycle.windows(3).step_by(3) {
-                sets.push(triple.to_vec());
-            }
-            if let Some(&first) = in_cycle.first() {
-                sets.push(vec![first]);
-                sets.push(vec![first, first]);
-            }
-        }
-        let scalar: Vec<_> = sets
-            .iter()
-            .map(|s| inject_multi(&harness, &golden, s).unwrap())
-            .collect();
-        let batched = classify_multi_points(&harness, &golden, &sets).unwrap();
-        prop_assert_eq!(&scalar, &batched, "seed {}", seed);
-    }
 }
 
 mod checkpoint_path {
@@ -267,11 +226,9 @@ mod checkpoint_path {
     }
 
     fn assert_checkpoint_matches_scalar(harness: &dyn DesignHarness, cycles: usize, sample: usize) {
-        // The cores carry external memory devices, so the wide path is out —
-        // but their memories snapshot, which selects the checkpoint engine.
-        let probe = harness.testbench();
-        assert!(!probe.can_run_wide(), "cores have devices");
-        assert!(probe.can_checkpoint(), "core memories must snapshot");
+        // The cores carry external memory devices, so the wide path is out
+        // and the checkpoint engine classifies.
+        assert!(!harness.testbench().can_run_wide(), "cores have devices");
 
         let golden = golden_run(harness, cycles + 1);
         let space = FaultSpace::all_ffs(harness.netlist(), harness.topology(), cycles);

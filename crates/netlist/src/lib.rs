@@ -48,7 +48,6 @@ pub mod lanes;
 pub mod library;
 pub mod logic;
 pub mod netlist;
-pub mod opt;
 pub mod random;
 pub mod soa;
 pub mod stats;
@@ -66,7 +65,6 @@ pub use lanes::WORD_LANES;
 pub use library::{CellFn, CellType, Library};
 pub use logic::{masking_cubes, PinCube, TruthTable};
 pub use netlist::{Cell, Net, NetDriver, Netlist, NetlistError};
-pub use opt::{optimize, OptStats, Optimized};
 pub use soa::{ConeSupport, SoaNetlist, SoaReader, SoaRun};
 pub use util::BitSet;
 pub use yosys::{parse_yosys_json, parse_yosys_netlist, read_yosys_file, to_yosys_json};

@@ -57,11 +57,6 @@ impl Flow {
         &self.design.value
     }
 
-    /// The design's artifact key.
-    pub fn design_key(&self) -> ContentHash {
-        self.design.key
-    }
-
     /// Gate-library analysis for this design's cell library.
     ///
     /// # Errors

@@ -12,7 +12,6 @@
 //! way [`Stage::decode`] receives the design again: to resolve names, or
 //! to check the numbering.
 
-use std::io::BufReader;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -428,6 +427,11 @@ impl Stage<&Design> for MateSearch {
         "mate-search"
     }
 
+    /// Also the artifact header's format tag: bump it with the format.
+    fn version(&self) -> u32 {
+        2
+    }
+
     fn fingerprint(&self, h: &mut ContentHasher) {
         self.wires.fingerprint(h);
         fingerprint_search_config(&self.config, h);
@@ -446,15 +450,17 @@ impl Stage<&Design> for MateSearch {
     fn encode(&self, input: &&Design, output: &SearchOutput) -> Result<Vec<u8>, MateError> {
         let s = &output.stats;
         let mut buf = format!(
-            "# search v1 faulty_wires={} avg_cone={} median_cone={} unmaskable={} \
-             candidates={} num_mates={} gmt_entries={} run_time={} max_wire_time={} \
+            "# search v{} faulty_wires={} avg_cone={} median_cone={} unmaskable={} \
+             candidates={} num_mates={} mates={} gmt_entries={} run_time={} max_wire_time={} \
              total_wire_time={}\n",
+            self.version(),
             s.faulty_wires,
             s.avg_cone,
             s.median_cone,
             s.unmaskable,
             s.candidates,
             s.num_mates,
+            output.mates.len(),
             s.gmt_entries,
             s.run_time.as_secs_f64(),
             s.max_wire_time.as_secs_f64(),
@@ -467,11 +473,13 @@ impl Stage<&Design> for MateSearch {
 
     fn decode(&self, input: &&Design, bytes: &[u8]) -> Result<SearchOutput, MateError> {
         let text = artifact_utf8(self.name(), bytes)?;
-        let header = text
-            .lines()
-            .find_map(|l| l.strip_prefix("# search v1 "))
-            .ok_or_else(|| MateError::artifact(self.name(), "missing `# search v1` header"))?;
+        let tag = format!("# search v{} ", self.version());
+        let (header, mate_text) = text
+            .split_once('\n')
+            .and_then(|(header, rest)| Some((header.strip_prefix(tag.as_str())?, rest)))
+            .ok_or_else(|| MateError::artifact(self.name(), format!("missing `{tag}…` header")))?;
         let mut stats = SearchStats::default();
+        let mut declared = None;
         for field in header.split_whitespace() {
             let (key, value) = field
                 .split_once('=')
@@ -488,6 +496,7 @@ impl Stage<&Design> for MateSearch {
                 "unmaskable" => stats.unmaskable = num()? as usize,
                 "candidates" => stats.candidates = num()? as u64,
                 "num_mates" => stats.num_mates = num()? as usize,
+                "mates" => declared = Some(num()? as usize),
                 "gmt_entries" => stats.gmt_entries = num()? as usize,
                 "run_time" => stats.run_time = Duration::from_secs_f64(num()?),
                 "max_wire_time" => stats.max_wire_time = Duration::from_secs_f64(num()?),
@@ -495,7 +504,11 @@ impl Stage<&Design> for MateSearch {
                 _ => {}
             }
         }
-        let mates = read_mates(&input.netlist, BufReader::new(text.as_bytes()))?;
+        let declared =
+            declared.ok_or_else(|| MateError::artifact(self.name(), "header missing mates="))?;
+        let mates = read_counted_mates(self.name(), &input.netlist, mate_text, declared, |text| {
+            read_mates(&input.netlist, text)
+        })?;
         Ok(SearchOutput { mates, stats })
     }
 }
@@ -824,6 +837,11 @@ impl<'a> Stage<(&'a Design, &'a MateSet, &'a WaveTrace)> for Select {
         "select"
     }
 
+    /// Bump with the artifact format.
+    fn version(&self) -> u32 {
+        2
+    }
+
     fn fingerprint(&self, h: &mut ContentHasher) {
         self.wires.fingerprint(h);
         h.usize(self.top_n);
@@ -842,7 +860,7 @@ impl<'a> Stage<(&'a Design, &'a MateSet, &'a WaveTrace)> for Select {
         (design, _, _): &(&Design, &MateSet, &WaveTrace),
         output: &MateSet,
     ) -> Result<Vec<u8>, MateError> {
-        let mut buf = Vec::new();
+        let mut buf = format!("# select mates={}\n", output.len()).into_bytes();
         write_mates(&design.netlist, output, &mut buf)?;
         Ok(buf)
     }
@@ -852,9 +870,18 @@ impl<'a> Stage<(&'a Design, &'a MateSet, &'a WaveTrace)> for Select {
         (design, _, _): &(&Design, &MateSet, &WaveTrace),
         bytes: &[u8],
     ) -> Result<MateSet, MateError> {
+        let text = artifact_utf8(self.name(), bytes)?;
+        let (declared, mate_text) = text
+            .split_once('\n')
+            .and_then(|(header, rest)| {
+                Some((header.strip_prefix("# select mates=")?.parse().ok()?, rest))
+            })
+            .ok_or_else(|| MateError::artifact(self.name(), "missing `# select mates=N` header"))?;
         // Rank order, as computed: downstream stages index the MATEs, so a
         // warm run must see the same order as a cold one.
-        read_mates_in_order(&design.netlist, BufReader::new(bytes))
+        read_counted_mates(self.name(), &design.netlist, mate_text, declared, |text| {
+            read_mates_in_order(&design.netlist, text)
+        })
     }
 }
 
@@ -998,6 +1025,35 @@ impl Stage<&Design> for Campaign {
             pruning: PruningStats::default(),
         })
     }
+}
+
+/// Reads, with `read`, the `mate-set v1` text that follows a stage header
+/// declaring `declared` MATEs.  The text must open with the line
+/// [`write_mates`] writes for `netlist`: the reader skips `#` lines, so a
+/// dropped one would go unnoticed.  A truncated or line-dropped set still
+/// parses line by line; the count catches it.
+fn read_counted_mates(
+    stage: &str,
+    netlist: &Netlist,
+    text: &str,
+    declared: usize,
+    read: impl FnOnce(&[u8]) -> Result<MateSet, MateError>,
+) -> Result<MateSet, MateError> {
+    let expected = format!("# mate-set v1 design={}", netlist.name());
+    if text.lines().next() != Some(expected.as_str()) {
+        return Err(MateError::artifact(
+            stage,
+            format!("missing `{expected}` line"),
+        ));
+    }
+    let mates = read(text.as_bytes())?;
+    if mates.len() != declared {
+        return Err(MateError::artifact(
+            stage,
+            format!("header mates={declared} but {} MATEs present", mates.len()),
+        ));
+    }
+    Ok(mates)
 }
 
 fn artifact_utf8<'b>(stage: &str, bytes: &'b [u8]) -> Result<&'b str, MateError> {

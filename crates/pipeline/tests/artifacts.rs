@@ -1,20 +1,23 @@
 //! The binary trace and campaign artifacts: `decode(encode(x)) == x` on
 //! the real cores and at the format's edges, and a damaged or foreign
 //! artifact never changes a result — it fails to decode, the stage reruns
-//! and a valid artifact replaces it.
+//! and a valid artifact replaces it.  The text MATE sets of the search and
+//! select stages carry a MATE count in their header, so a truncated or
+//! line-dropped one is recomputed too.
 
 use std::path::{Path, PathBuf};
 
 use proptest::prelude::*;
 
+use mate::{MateSet, SearchConfig};
 use mate_cores::{avr, msp430, AvrSystem, Msp430System, Termination};
 use mate_hafi::{CampaignConfig, CampaignResult, FaultEffect, FaultPoint};
-use mate_netlist::examples::tmr_register;
+use mate_netlist::examples::{figure1b, tmr_register};
 use mate_netlist::verilog::parse_verilog;
 use mate_netlist::Library;
 use mate_pipeline::{
-    ArtifactStore, Campaign, Design, DesignSource, Flow, LoadDesign, Stage, TraceCapture,
-    TraceSource,
+    ArtifactStore, Campaign, ContentHash, Design, DesignSource, Flow, LoadDesign, Stage,
+    TraceCapture, TraceSource, WireSetSpec,
 };
 
 /// A fresh scratch store root, removed on drop.
@@ -358,6 +361,86 @@ fn damaged_campaign_artifacts_are_recomputed() {
         let staged = flow.campaign(tmr_waves(), config, None).unwrap();
         (staged.value.records, staged.key)
     });
+}
+
+/// Search, capture and select (top-N = every MATE) on figure1b; returns the
+/// MATE set of `stage` (`mate-search` or `select`), its artifact key, and
+/// whether the store served it.
+fn figure1b_mates(store: ArtifactStore, stage: &str) -> (MateSet, ContentHash, bool) {
+    let source = DesignSource::Builder {
+        label: "figure1b",
+        build: figure1b,
+    };
+    let mut flow = Flow::new(store, source).unwrap();
+    let search = flow
+        .search(WireSetSpec::AllFfs, SearchConfig::default())
+        .unwrap();
+    let trace = flow
+        .capture(
+            TraceSource::Stimuli {
+                waves: vec![("in".into(), vec![true, false, false, true])],
+            },
+            32,
+        )
+        .unwrap();
+    let selected = flow
+        .select(
+            WireSetSpec::AllFfs,
+            search.value.mates.len(),
+            (&search.value.mates, search.key),
+            trace.part(),
+        )
+        .unwrap();
+    let summary = flow.into_summary();
+    let record = summary.records.iter().find(|r| r.stage == stage).unwrap();
+    let mates = if stage == "select" {
+        selected.value
+    } else {
+        search.value.mates
+    };
+    (mates, record.key, record.cached)
+}
+
+#[test]
+fn truncated_or_line_dropped_mate_sets_are_recomputed() {
+    for stage in ["mate-search", "select"] {
+        let scratch = Scratch::new(stage);
+        let store = scratch.store();
+        let (cold, key, cached) = figure1b_mates(store.clone(), stage);
+        assert!(!cached, "{stage}: first run must compute");
+        assert_eq!(cold.len(), 3, "figure1b has three MATEs");
+        let valid = store.load(stage, &key).unwrap().unwrap();
+        let text = String::from_utf8(valid.clone()).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        let joined = |keep: &dyn Fn(usize) -> bool| -> String {
+            lines
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| keep(i))
+                .flat_map(|(_, l)| [*l, "\n"])
+                .collect()
+        };
+        // Cut at every line boundary short of the whole artifact, then each
+        // line deleted in turn.
+        let mut damaged: Vec<String> = (0..lines.len()).map(|cut| joined(&|i| i < cut)).collect();
+        damaged.extend((0..lines.len()).map(|gone| joined(&|i| i != gone)));
+        for bytes in damaged {
+            store.save(stage, &key, bytes.as_bytes()).unwrap();
+            let (mates, again, cached) = figure1b_mates(store.clone(), stage);
+            assert!(!cached, "{stage}: a damaged artifact was served:\n{bytes}");
+            assert_eq!(again, key);
+            assert_eq!(mates, cold, "{stage}: result changed");
+            // Select is deterministic to the byte; the search header also
+            // records the recomputing run's timings.
+            let healed = store.load(stage, &key).unwrap().unwrap();
+            if stage == "select" {
+                assert_eq!(healed, valid, "{stage}: not healed");
+            }
+            let (mates, _, cached) = figure1b_mates(store.clone(), stage);
+            assert!(cached, "{stage}: the recomputed artifact must serve");
+            assert_eq!(mates, cold);
+        }
+    }
 }
 
 /// Valid artifacts of both stages on the TMR register, for mutation.

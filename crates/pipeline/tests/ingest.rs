@@ -95,7 +95,7 @@ fn vendored_uart_transmits_a_frame() {
     let trace = tb.run(60);
 
     let tx = netlist.outputs()[0];
-    assert_eq!(netlist.net(tx).name().contains("busy"), false);
+    assert!(!netlist.net(tx).name().contains("busy"));
     let busy = netlist.find_net("busy").unwrap();
 
     // The line idles high, then the start bit pulls it low.
@@ -259,8 +259,7 @@ fn ingest_gate_rejects_ill_formed_external_netlists() {
                 top: None,
             },
         )
-        .err()
-        .expect("ill-formed netlist must be rejected")
+        .expect_err("ill-formed netlist must be rejected")
     };
 
     // Undriven net: g's A input is never driven and is not a port.

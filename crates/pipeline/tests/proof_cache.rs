@@ -157,7 +157,7 @@ fn truncated_or_line_dropped_artifacts_are_recomputed() {
             .iter()
             .enumerate()
             .filter(|&(i, _)| keep(i))
-            .map(|(_, l)| format!("{l}\n"))
+            .flat_map(|(_, l)| [*l, "\n"])
             .collect()
     };
     // Cut at every line boundary short of the whole artifact, then each

@@ -2,24 +2,12 @@
 
 use mate_netlist::prelude::*;
 
-/// A snapshot of simulator state, used by fault-injection campaigns to
-/// compare a faulty run against the golden run.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SimSnapshot {
-    /// Stored value of every flip-flop, indexed like
-    /// [`Topology::seq_cells`].
-    pub state: Vec<bool>,
-    /// The cycle counter.
-    pub cycle: u64,
-}
-
 /// A full checkpoint of simulator state: the complete net-value bitmap plus
 /// the cycle counter.
 ///
-/// Unlike [`SimSnapshot`], which covers only the flip-flops, a checkpoint
-/// restores the simulator *exactly* — including primary-input levels and the
-/// settled flag — so a fault-injection campaign can resume at the injection
-/// cycle without replaying the warm-up prefix.
+/// A checkpoint restores the simulator *exactly* — including primary-input
+/// levels and the settled flag — so a fault-injection campaign can resume at
+/// the injection cycle without replaying the warm-up prefix.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SimCheckpoint {
     values: BitSet,
@@ -137,13 +125,6 @@ impl<'n> Simulator<'n> {
         self.values.contains(net.index())
     }
 
-    /// Reads a net value without forcing a settle.  Only meaningful when the
-    /// caller knows the simulator is settled (e.g. right after
-    /// [`Simulator::tick`]).
-    pub fn value_unsettled(&self, net: NetId) -> bool {
-        self.values.contains(net.index())
-    }
-
     /// Direct access to the settled value bitmap (one bit per net).
     pub fn values(&mut self) -> &BitSet {
         self.settle();
@@ -219,40 +200,6 @@ impl<'n> Simulator<'n> {
         for (i, &net) in nets.iter().enumerate() {
             self.set_input(net, value & (1 << i) != 0);
         }
-    }
-
-    /// Captures the flip-flop state vector.
-    pub fn snapshot(&self) -> SimSnapshot {
-        let state = self
-            .topo
-            .seq_cells()
-            .iter()
-            .map(|&ff| self.values.contains(self.netlist.cell(ff).output().index()))
-            .collect();
-        SimSnapshot {
-            state,
-            cycle: self.cycle,
-        }
-    }
-
-    /// Restores a previously captured flip-flop state vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot was taken from a different netlist (state
-    /// length mismatch).
-    pub fn restore(&mut self, snapshot: &SimSnapshot) {
-        assert_eq!(
-            snapshot.state.len(),
-            self.topo.seq_cells().len(),
-            "snapshot incompatible with this netlist"
-        );
-        for (&ff, &v) in self.topo.seq_cells().iter().zip(&snapshot.state) {
-            let q = self.netlist.cell(ff).output();
-            self.values.set(q.index(), v);
-        }
-        self.cycle = snapshot.cycle;
-        self.settled = false;
     }
 
     /// Captures the complete simulator state (every net value, the settled
@@ -384,24 +331,6 @@ mod tests {
         let (n, topo) = counter(2);
         let mut sim = Simulator::new(&n, &topo);
         sim.set_input(n.find_net("q0").unwrap(), true);
-    }
-
-    #[test]
-    fn snapshot_restore_roundtrip() {
-        let (n, topo) = counter(5);
-        let mut sim = Simulator::new(&n, &topo);
-        sim.set_input(n.find_net("en").unwrap(), true);
-        for _ in 0..11 {
-            sim.tick();
-        }
-        let snap = sim.snapshot();
-        for _ in 0..7 {
-            sim.tick();
-        }
-        assert_ne!(sim.snapshot().state, snap.state);
-        sim.restore(&snap);
-        assert_eq!(sim.snapshot(), snap);
-        assert_eq!(sim.cycle(), 11);
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //! * [`trace`] — dense per-cycle wire traces ([`trace::WaveTrace`]), the
 //!   in-memory analogue of a VCD file.
 //! * [`vcd`] — VCD writer and reader, round-trip compatible.
-//! * [`testbench`] — drives a netlist with input stimuli and external
-//!   devices (instruction/data memories) and records traces.
+//! * [`testbench`] — drives a netlist with per-cycle input waves and
+//!   snapshotable external devices (instruction/data memories), records
+//!   traces, and checkpoints a run so campaigns can resume it mid-trace.
 //! * [`wide`] — a 64-lane bit-parallel engine over the compile-once
 //!   [`mate_netlist::SoaNetlist`] arena: one `u64` word per net carries 64
 //!   independent fault scenarios, the substrate of batched campaigns.
@@ -46,7 +47,6 @@
 
 pub mod delta;
 pub mod engine;
-pub mod equiv;
 pub mod testbench;
 pub mod trace;
 pub mod transposed;
@@ -54,8 +54,7 @@ pub mod vcd;
 pub mod wide;
 
 pub use delta::DeltaSimulator;
-pub use engine::{SimCheckpoint, SimSnapshot, Simulator};
-pub use equiv::{check_equiv, Mismatch};
+pub use engine::{SimCheckpoint, Simulator};
 pub use mate_netlist::MateError;
 pub use testbench::{InputWave, SnapshotDevice, Testbench, TestbenchCheckpoint};
 pub use trace::WaveTrace;

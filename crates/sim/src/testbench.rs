@@ -6,12 +6,11 @@ use crate::engine::{SimCheckpoint, Simulator};
 use crate::trace::WaveTrace;
 use crate::wide::WideSimulator;
 
-/// A per-cycle stimulus for one primary input.
+/// A per-cycle stimulus for one primary input: a pure function of the cycle
+/// number, so campaigns may sample it at any cycle (out of order,
+/// repeatedly) when they seed runs from checkpoints or the golden trace.
 pub struct InputWave {
-    wave: Box<dyn FnMut(u64) -> bool>,
-    /// `true` when the wave is a pure function of the cycle number, i.e. it
-    /// may be sampled at an arbitrary cycle without replaying the prefix.
-    pure: bool,
+    wave: Box<dyn Fn(u64) -> bool>,
 }
 
 impl InputWave {
@@ -19,7 +18,6 @@ impl InputWave {
     pub fn constant(value: bool) -> Self {
         Self {
             wave: Box::new(move |_| value),
-            pure: true,
         }
     }
 
@@ -27,7 +25,6 @@ impl InputWave {
     pub fn pulse(cycles: u64) -> Self {
         Self {
             wave: Box::new(move |c| c < cycles),
-            pure: true,
         }
     }
 
@@ -40,41 +37,10 @@ impl InputWave {
         assert!(!values.is_empty(), "stimulus vector must not be empty");
         Self {
             wave: Box::new(move |c| *values.get(c as usize).unwrap_or(values.last().unwrap())),
-            pure: true,
         }
     }
 
-    /// An arbitrary function of the cycle number.
-    ///
-    /// The closure may be stateful, so the wave is treated as *impure*:
-    /// checkpoint-based and wide campaigns fall back to replaying from cycle
-    /// 0.  Use [`InputWave::from_fn_pure`] for stateless closures.
-    pub fn from_fn(f: impl FnMut(u64) -> bool + 'static) -> Self {
-        Self {
-            wave: Box::new(f),
-            pure: false,
-        }
-    }
-
-    /// A *pure* function of the cycle number.
-    ///
-    /// By constructing the wave this way the caller asserts the closure's
-    /// result depends only on its argument; campaigns may then sample it at
-    /// arbitrary cycles (out of order, repeatedly) when seeding runs from
-    /// checkpoints.
-    pub fn from_fn_pure(f: impl Fn(u64) -> bool + 'static) -> Self {
-        Self {
-            wave: Box::new(f),
-            pure: true,
-        }
-    }
-
-    /// `true` when the wave may be sampled at arbitrary cycles.
-    pub fn is_pure(&self) -> bool {
-        self.pure
-    }
-
-    fn sample(&mut self, cycle: u64) -> bool {
+    fn sample(&self, cycle: u64) -> bool {
         (self.wave)(cycle)
     }
 }
@@ -86,10 +52,11 @@ impl std::fmt::Debug for InputWave {
 }
 
 /// A reactive external device (memory, peripheral) hooked into the cycle
-/// loop.
+/// loop, whose external state (memory contents, peripheral registers) can be
+/// captured and restored.
 ///
-/// The device closure runs after the first combinational settle of each
-/// cycle: it may read settled outputs (e.g. an address bus) and drive
+/// [`SnapshotDevice::on_cycle`] runs after the first combinational settle of
+/// each cycle: it may read settled outputs (e.g. an address bus) and drive
 /// primary inputs (e.g. a read-data bus).  The harness settles again before
 /// capturing the trace and latching, so device responses behave like
 /// asynchronous-read memories.
@@ -98,18 +65,13 @@ impl std::fmt::Debug for InputWave {
 /// the outputs the device reads, otherwise a second settle round would be
 /// required; CPU-style cores (address from registers, data into registers)
 /// satisfy this naturally.
-pub type Device<'n> = Box<dyn FnMut(&mut Simulator<'n>) + 'n>;
-
-/// A device whose external state (memory contents, peripheral registers) can
-/// be captured and restored.
 ///
-/// Campaigns use this to checkpoint a golden run at each injection cycle and
-/// seed faulty runs from there instead of replaying the warm-up prefix; a
-/// testbench whose devices all implement this trait reports
-/// [`Testbench::can_checkpoint`].
+/// Campaigns checkpoint a golden run at each injection cycle
+/// ([`Testbench::checkpoint`]) and seed faulty runs from there instead of
+/// replaying the warm-up prefix.
 pub trait SnapshotDevice<'n> {
-    /// Runs the device for the current cycle, like a plain [`Device`]
-    /// closure: read settled outputs, drive primary inputs.
+    /// Runs the device for the current cycle: read settled outputs, drive
+    /// primary inputs.
     fn on_cycle(&mut self, sim: &mut Simulator<'n>);
 
     /// Serializes every piece of state mutated by [`Self::on_cycle`].
@@ -124,23 +86,8 @@ pub trait SnapshotDevice<'n> {
     fn load_state(&mut self, state: &[u64]);
 }
 
-/// A device slot: either an opaque closure or a snapshotable device.
-enum DeviceSlot<'n> {
-    Opaque(Device<'n>),
-    Snapshot(Box<dyn SnapshotDevice<'n> + 'n>),
-}
-
-impl<'n> DeviceSlot<'n> {
-    fn on_cycle(&mut self, sim: &mut Simulator<'n>) {
-        match self {
-            DeviceSlot::Opaque(f) => f(sim),
-            DeviceSlot::Snapshot(d) => d.on_cycle(sim),
-        }
-    }
-}
-
 /// A full checkpoint of a testbench: simulator state plus the state of every
-/// snapshotable device.  Captured by [`Testbench::checkpoint`].
+/// device.  Captured by [`Testbench::checkpoint`].
 #[derive(Clone, Debug)]
 pub struct TestbenchCheckpoint {
     sim: SimCheckpoint,
@@ -171,7 +118,7 @@ impl TestbenchCheckpoint {
 pub struct Testbench<'n> {
     sim: Simulator<'n>,
     stimuli: Vec<(NetId, InputWave)>,
-    devices: Vec<DeviceSlot<'n>>,
+    devices: Vec<Box<dyn SnapshotDevice<'n> + 'n>>,
 }
 
 impl<'n> Testbench<'n> {
@@ -194,67 +141,23 @@ impl<'n> Testbench<'n> {
         self
     }
 
-    /// Attaches a reactive device as an opaque closure.  The testbench then
-    /// cannot be checkpointed; prefer [`Testbench::attach_snapshot`] for
-    /// devices that can serialize their state.
-    pub fn attach(&mut self, device: Device<'n>) -> &mut Self {
-        self.devices.push(DeviceSlot::Opaque(device));
-        self
-    }
-
-    /// Attaches a snapshotable reactive device.
+    /// Attaches a reactive device.
     pub fn attach_snapshot(&mut self, device: Box<dyn SnapshotDevice<'n> + 'n>) -> &mut Self {
-        self.devices.push(DeviceSlot::Snapshot(device));
+        self.devices.push(device);
         self
-    }
-
-    /// `true` when at least one external device is attached.
-    pub fn has_devices(&self) -> bool {
-        !self.devices.is_empty()
-    }
-
-    /// `true` when every stimulus is a pure function of the cycle number.
-    pub fn pure_stimuli(&self) -> bool {
-        self.stimuli.iter().all(|(_, wave)| wave.is_pure())
-    }
-
-    /// `true` when the whole testbench can be checkpointed and restored:
-    /// every stimulus is pure and every device is snapshotable.
-    pub fn can_checkpoint(&self) -> bool {
-        self.pure_stimuli()
-            && self
-                .devices
-                .iter()
-                .all(|slot| matches!(slot, DeviceSlot::Snapshot(_)))
     }
 
     /// `true` when the run can be re-created lane-parallel in a
-    /// [`WideSimulator`]: pure stimuli and no external devices at all.
+    /// [`WideSimulator`]: no external devices.
     pub fn can_run_wide(&self) -> bool {
-        self.devices.is_empty() && self.pure_stimuli()
+        self.devices.is_empty()
     }
 
     /// Captures a checkpoint of the simulator and all device state.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless [`Testbench::can_checkpoint`] holds.
     pub fn checkpoint(&self) -> TestbenchCheckpoint {
-        assert!(
-            self.can_checkpoint(),
-            "testbench has impure stimuli or opaque devices"
-        );
-        let devices = self
-            .devices
-            .iter()
-            .map(|slot| match slot {
-                DeviceSlot::Snapshot(d) => d.state(),
-                DeviceSlot::Opaque(_) => unreachable!("checked by can_checkpoint"),
-            })
-            .collect();
         TestbenchCheckpoint {
             sim: self.sim.checkpoint(),
-            devices,
+            devices: self.devices.iter().map(|d| d.state()).collect(),
         }
     }
 
@@ -271,24 +174,15 @@ impl<'n> Testbench<'n> {
             "checkpoint has a different device count"
         );
         self.sim.restore_checkpoint(&checkpoint.sim);
-        for (slot, state) in self.devices.iter_mut().zip(&checkpoint.devices) {
-            match slot {
-                DeviceSlot::Snapshot(d) => d.load_state(state),
-                DeviceSlot::Opaque(_) => panic!("cannot restore into an opaque device"),
-            }
+        for (device, state) in self.devices.iter_mut().zip(&checkpoint.devices) {
+            device.load_state(state);
         }
     }
 
     /// Broadcasts this testbench's stimuli for `cycle` to all 64 lanes of a
     /// wide simulator.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless [`Testbench::pure_stimuli`] holds — impure waves cannot
-    /// be sampled at arbitrary cycles.
-    pub fn apply_stimuli_wide(&mut self, wide: &mut WideSimulator<'n>, cycle: u64) {
-        assert!(self.pure_stimuli(), "wide stimuli require pure waves");
-        for (net, wave) in &mut self.stimuli {
+    pub fn apply_stimuli_wide(&self, wide: &mut WideSimulator<'n>, cycle: u64) {
+        for (net, wave) in &self.stimuli {
             wide.set_input(*net, wave.sample(cycle));
         }
     }
@@ -314,9 +208,8 @@ impl<'n> Testbench<'n> {
     /// trace cycle is captured).
     pub fn step_observed(&mut self, observe: impl FnOnce(&mut Simulator<'n>)) {
         let cycle = self.sim.cycle();
-        for (net, wave) in &mut self.stimuli {
-            let v = wave.sample(cycle);
-            self.sim.set_input(*net, v);
+        for (net, wave) in &self.stimuli {
+            self.sim.set_input(*net, wave.sample(cycle));
         }
         self.sim.settle();
         for device in &mut self.devices {
@@ -358,10 +251,10 @@ mod tests {
 
     #[test]
     fn constant_and_pulse_waves() {
-        let mut c = InputWave::constant(true);
+        let c = InputWave::constant(true);
         assert!(c.sample(0));
         assert!(c.sample(99));
-        let mut p = InputWave::pulse(2);
+        let p = InputWave::pulse(2);
         assert!(p.sample(0));
         assert!(p.sample(1));
         assert!(!p.sample(2));
@@ -369,7 +262,7 @@ mod tests {
 
     #[test]
     fn vec_wave_holds_last() {
-        let mut w = InputWave::from_vec(vec![true, false]);
+        let w = InputWave::from_vec(vec![true, false]);
         assert!(w.sample(0));
         assert!(!w.sample(1));
         assert!(!w.sample(100));
@@ -388,7 +281,7 @@ mod tests {
         // Enable only on even cycles.
         tb.drive(
             n.find_net("en").unwrap(),
-            InputWave::from_fn(|c| c % 2 == 0),
+            InputWave::from_vec((0..10).map(|c| c % 2 == 0).collect()),
         );
         let trace = tb.run(10);
         // 5 enabled cycles -> counter reaches 5.
@@ -401,23 +294,45 @@ mod tests {
         assert_eq!(value, 5);
     }
 
+    /// Logs `q0` each cycle and, once it is high, drives `en` low.
+    struct Freeze {
+        en: NetId,
+        q0: NetId,
+        log: Rc<RefCell<Vec<bool>>>,
+    }
+
+    impl<'n> SnapshotDevice<'n> for Freeze {
+        fn on_cycle(&mut self, sim: &mut Simulator<'n>) {
+            let v = sim.value(self.q0);
+            self.log.borrow_mut().push(v);
+            if v {
+                sim.set_input(self.en, false);
+            }
+        }
+
+        fn state(&self) -> Vec<u64> {
+            Vec::new()
+        }
+
+        fn load_state(&mut self, state: &[u64]) {
+            assert!(state.is_empty());
+        }
+    }
+
     #[test]
     fn device_reacts_to_outputs() {
-        // A device that mirrors q0 onto `en`, stopping the counter at 1:
-        // once q0=1 the device drives en=0.
+        // The device runs after the first settle, reads q0 and overrides
+        // the stimulus on `en`, stopping the counter at 1.
         let (n, topo) = counter(3);
         let en = n.find_net("en").unwrap();
         let q0 = n.find_net("q0").unwrap();
         let mut tb = Testbench::new(&n, &topo);
         tb.drive(en, InputWave::constant(true));
         let log: Rc<RefCell<Vec<bool>>> = Rc::new(RefCell::new(Vec::new()));
-        let log2 = log.clone();
-        tb.attach(Box::new(move |sim| {
-            let v = sim.value(q0);
-            log2.borrow_mut().push(v);
-            if v {
-                sim.set_input(en, false);
-            }
+        tb.attach_snapshot(Box::new(Freeze {
+            en,
+            q0,
+            log: log.clone(),
         }));
         tb.run(6);
         // Counter increments in cycle 0 (q0 becomes 1 in cycle 1), then the

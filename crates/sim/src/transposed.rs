@@ -16,7 +16,6 @@
 use mate_netlist::lanes::low_lanes;
 use mate_netlist::prelude::*;
 
-use crate::engine::Simulator;
 use crate::trace::WaveTrace;
 
 /// A column-major (net-major) bit-plane view of an execution trace.
@@ -41,7 +40,7 @@ use crate::trace::WaveTrace;
 pub struct TransposedTrace {
     num_nets: usize,
     cycles: usize,
-    /// Allocated words per column (`>= cycles.div_ceil(64)`).
+    /// Words per column: `cycles.div_ceil(64)`.
     words_per_net: usize,
     /// Column-major storage: net `n` occupies words
     /// `n * words_per_net .. (n + 1) * words_per_net`.
@@ -71,18 +70,6 @@ fn transpose64(a: &mut [u64; 64]) {
 }
 
 impl TransposedTrace {
-    /// Creates an empty transposed trace for `num_nets` nets; cycles are
-    /// appended with [`TransposedTrace::push_cycle_words`] or
-    /// [`TransposedTrace::capture`].
-    pub fn new(num_nets: usize) -> Self {
-        Self {
-            num_nets,
-            cycles: 0,
-            words_per_net: 0,
-            data: Vec::new(),
-        }
-    }
-
     /// Transposes a recorded row-major trace in one pass of 64×64 block
     /// transposes.
     pub fn from_trace(trace: &WaveTrace) -> Self {
@@ -103,7 +90,7 @@ impl TransposedTrace {
     ///
     /// Panics if `rows` is shorter than `cycles * words_per_cycle` or
     /// `words_per_cycle` cannot hold `num_nets` bits.
-    pub fn from_row_words(
+    fn from_row_words(
         num_nets: usize,
         cycles: usize,
         rows: &[u64],
@@ -119,34 +106,6 @@ impl TransposedTrace {
         );
         let words_per_net = cycles.div_ceil(WORD_LANES);
         let mut data = vec![0u64; num_nets * words_per_net];
-        Self::fill_columns(
-            &mut data,
-            num_nets,
-            cycles,
-            words_per_net,
-            rows,
-            words_per_cycle,
-        );
-        Self {
-            num_nets,
-            cycles,
-            words_per_net,
-            data,
-        }
-    }
-
-    /// Transposes `rows` into `data` (pre-zeroed, `num_nets * words_per_net`
-    /// words, tight column layout) — the shared core of
-    /// [`TransposedTrace::from_row_words`] and
-    /// [`TransposedTrace::refill_from_row_words`].
-    fn fill_columns(
-        data: &mut [u64],
-        num_nets: usize,
-        cycles: usize,
-        words_per_net: usize,
-        rows: &[u64],
-        words_per_cycle: usize,
-    ) {
         let mut block = [0u64; 64];
         for ci in 0..words_per_net {
             let c0 = ci * 64;
@@ -167,6 +126,12 @@ impl TransposedTrace {
                 }
             }
         }
+        Self {
+            num_nets,
+            cycles,
+            words_per_net,
+            data,
+        }
     }
 
     /// Number of nets.
@@ -181,7 +146,7 @@ impl TransposedTrace {
 
     /// Number of valid 64-cycle words per column.
     pub fn num_words(&self) -> usize {
-        self.cycles.div_ceil(WORD_LANES)
+        self.words_per_net
     }
 
     /// All-ones over the cycles that exist in column word `word` (the last
@@ -205,7 +170,7 @@ impl TransposedTrace {
     pub fn column(&self, net: NetId) -> &[u64] {
         let i = net.index();
         assert!(i < self.num_nets, "net {net} beyond trace");
-        &self.data[i * self.words_per_net..i * self.words_per_net + self.num_words()]
+        &self.data[i * self.words_per_net..(i + 1) * self.words_per_net]
     }
 
     /// One column word of a net *literal*: the cycles (within word `word`)
@@ -277,109 +242,6 @@ impl TransposedTrace {
             mask: 1u64 << (cycle % WORD_LANES),
         }
     }
-
-    /// Appends one cycle from row-packed value words (bit `n % 64` of word
-    /// `n / 64` is net `n`, the layout of [`WaveTrace::cycle_words`] and
-    /// [`mate_netlist::BitSet::as_words`]).  Columns grow geometrically, so
-    /// incremental capture is amortized O(nets/64) words per cycle plus one
-    /// bit-scatter.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `words` cannot hold `num_nets` bits.
-    pub fn push_cycle_words(&mut self, words: &[u64]) {
-        assert!(
-            words.len() >= self.num_nets.div_ceil(WORD_LANES),
-            "cycle row too narrow for {} nets",
-            self.num_nets
-        );
-        if self.cycles == self.words_per_net * WORD_LANES {
-            self.grow();
-        }
-        let (wi, bit) = (self.cycles / WORD_LANES, self.cycles % WORD_LANES);
-        for n in 0..self.num_nets {
-            let v = words[n / WORD_LANES] >> (n % WORD_LANES) & 1;
-            self.data[n * self.words_per_net + wi] |= v << bit;
-        }
-        self.cycles += 1;
-    }
-
-    /// Records the settled simulator values as the next cycle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the simulator's netlist has a different net count.
-    pub fn capture(&mut self, sim: &mut Simulator<'_>) {
-        assert_eq!(
-            sim.netlist().num_nets(),
-            self.num_nets,
-            "transposed trace incompatible with simulator"
-        );
-        self.push_cycle_words(sim.values().as_words());
-    }
-
-    /// Doubles the per-column allocation, re-laying out existing columns.
-    fn grow(&mut self) {
-        let new_wpn = (self.words_per_net * 2).max(1);
-        let mut data = vec![0u64; self.num_nets * new_wpn];
-        for n in 0..self.num_nets {
-            data[n * new_wpn..n * new_wpn + self.words_per_net]
-                .copy_from_slice(&self.data[n * self.words_per_net..(n + 1) * self.words_per_net]);
-        }
-        self.words_per_net = new_wpn;
-        self.data = data;
-    }
-
-    /// Drops all recorded cycles, keeping the allocation (for 64-cycle
-    /// block reuse in online pruning).
-    pub fn clear(&mut self) {
-        self.cycles = 0;
-        self.data.fill(0);
-    }
-
-    /// Refills this trace in place from row-major cycle words, reusing the
-    /// allocation when it is already large enough — the scratch-buffer
-    /// counterpart of [`TransposedTrace::from_row_words`] for per-block
-    /// transposition in the online pruner.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as
-    /// [`TransposedTrace::from_row_words`].
-    pub fn refill_from_row_words(
-        &mut self,
-        num_nets: usize,
-        cycles: usize,
-        rows: &[u64],
-        words_per_cycle: usize,
-    ) {
-        assert!(
-            rows.len() >= cycles * words_per_cycle,
-            "row data shorter than the declared cycle count"
-        );
-        assert!(
-            words_per_cycle >= num_nets.div_ceil(64),
-            "cycle rows too narrow for {num_nets} nets"
-        );
-        let words_per_net = cycles.div_ceil(WORD_LANES);
-        let used = num_nets * words_per_net;
-        if used > self.data.len() {
-            self.data = vec![0u64; used];
-        } else {
-            self.data.fill(0);
-        }
-        self.num_nets = num_nets;
-        self.cycles = cycles;
-        self.words_per_net = words_per_net;
-        Self::fill_columns(
-            &mut self.data[..used],
-            num_nets,
-            cycles,
-            words_per_net,
-            rows,
-            words_per_cycle,
-        );
-    }
 }
 
 /// A single-cycle probe into a [`TransposedTrace`] with the cycle's word
@@ -407,7 +269,6 @@ impl CycleView<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mate_netlist::examples::counter;
     use mate_netlist::NetCube;
 
     fn net(i: usize) -> NetId {
@@ -467,35 +328,6 @@ mod tests {
     }
 
     #[test]
-    fn incremental_push_matches_from_trace() {
-        let rows = random_trace(70, 200, 7);
-        let built = TransposedTrace::from_trace(&rows);
-        let mut incr = TransposedTrace::new(70);
-        for c in 0..200 {
-            incr.push_cycle_words(rows.cycle_words(c));
-        }
-        assert_eq!(incr.num_cycles(), built.num_cycles());
-        for n in 0..70 {
-            assert_eq!(incr.column(net(n)), built.column(net(n)), "net {n}");
-        }
-    }
-
-    #[test]
-    fn capture_from_simulator() {
-        let (n, topo) = counter(3);
-        let mut sim = Simulator::new(&n, &topo);
-        sim.set_input(n.find_net("en").unwrap(), true);
-        let mut rows = WaveTrace::new(n.num_nets());
-        let mut cols = TransposedTrace::new(n.num_nets());
-        for _ in 0..8 {
-            rows.capture(&mut sim);
-            cols.capture(&mut sim);
-            sim.tick();
-        }
-        assert_eq!(cols, TransposedTrace::from_trace(&rows));
-    }
-
-    #[test]
     fn cube_word_is_and_over_literals() {
         // Horizons on both sides of the word boundaries, so full, partial
         // and single-cycle tail words are all checked.
@@ -541,19 +373,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_resets_for_block_reuse() {
-        let mut t = TransposedTrace::new(5);
-        t.push_cycle_words(&[0b10101]);
-        t.push_cycle_words(&[0b00011]);
-        assert_eq!(t.num_cycles(), 2);
-        t.clear();
-        assert_eq!(t.num_cycles(), 0);
-        t.push_cycle_words(&[0b1]);
-        assert!(t.value(0, net(0)));
-        assert!(!t.value(0, net(4)));
-    }
-
-    #[test]
     fn cycle_view_matches_value() {
         let rows = random_trace(70, 130, 11);
         let cols = TransposedTrace::from_trace(&rows);
@@ -573,35 +392,9 @@ mod tests {
     }
 
     #[test]
-    fn refill_reuses_allocation_and_matches_from_row_words() {
-        let big = random_trace(40, 200, 3);
-        let mut t = TransposedTrace::from_trace(&big);
-        // Refill with a smaller trace: same columns as a fresh build.
-        let small = random_trace(40, 70, 4);
-        t.refill_from_row_words(40, 70, small.raw_words(), small.words_per_cycle());
-        assert_eq!(t.num_cycles(), 70);
-        let fresh = TransposedTrace::from_trace(&small);
-        for n in 0..40 {
-            assert_eq!(t.column(net(n)), fresh.column(net(n)), "net {n}");
-        }
-        // Growing beyond the allocation also works.
-        let bigger = random_trace(40, 300, 5);
-        t.refill_from_row_words(40, 300, bigger.raw_words(), bigger.words_per_cycle());
-        assert_eq!(t, TransposedTrace::from_trace(&bigger));
-    }
-
-    #[test]
     #[should_panic(expected = "beyond trace")]
     fn column_out_of_range_panics() {
         let t = TransposedTrace::from_trace(&random_trace(3, 4, 1));
         t.column(net(3));
-    }
-
-    #[test]
-    #[should_panic(expected = "incompatible")]
-    fn capture_rejects_wrong_net_count() {
-        let (n, topo) = counter(3);
-        let mut sim = Simulator::new(&n, &topo);
-        TransposedTrace::new(1).capture(&mut sim);
     }
 }

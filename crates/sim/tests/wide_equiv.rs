@@ -163,10 +163,10 @@ proptest! {
             }
             sim.settle();
             soa.settle_scalar(&mut values);
-            for idx in 0..n.num_nets() {
+            for (idx, &value) in values.iter().enumerate() {
                 let net = NetId::from_index(idx);
                 prop_assert_eq!(
-                    values[idx],
+                    value,
                     sim.value(net),
                     "net {} cycle {c}",
                     n.net(net).name()
