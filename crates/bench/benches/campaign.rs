@@ -2,12 +2,15 @@
 //! 64-lane engines, in faults per second — for both the full-settle
 //! reference engine and the event-driven differential engine.
 //!
-//! Five circuits: the paper's Figure-1b example, a random ≥200-FF netlist
+//! Seven circuits: the paper's Figure-1b example, a random ≥200-FF netlist
 //! (the scale where bit-parallel packing pays off), a random ≥1000-FF
 //! netlist showing how the differential engine's advantage grows with
 //! netlist size, a 64-slice TMR register bank under periodic stimuli — the
 //! masked-heavy workload where every upset is voted away within one cycle —
-//! and the ingested `uart_tx` core.  Besides the criterion reporting, the
+//! the ingested `uart_tx` core, and the AVR and MSP430 cores with their
+//! memories attached, whose campaigns the engines run by replaying the
+//! memories' responses from the golden trace.  Besides the criterion
+//! reporting, the
 //! bench emits a machine-readable `BENCH_campaign.json` at the workspace
 //! root with all numbers, the per-row speedups, the engine the `auto`
 //! policy resolves to per circuit, and the host CPU count.
@@ -16,6 +19,7 @@ use std::time::Instant;
 
 use criterion::{is_quick_test, Criterion, Throughput};
 
+use mate_cores::{avr, msp430, AvrWorkload, Msp430Workload, Termination};
 use mate_hafi::{
     run_campaign, run_campaign_wide, CampaignConfig, CampaignEngine, DesignHarness, FaultSpace,
     StimulusHarness,
@@ -84,7 +88,7 @@ fn faults_per_sec(reps: usize, points: usize, mut run: impl FnMut()) -> f64 {
 fn measure(
     c: &mut Criterion,
     name: &'static str,
-    harness: &StimulusHarness,
+    harness: &(dyn DesignHarness + Sync),
     config: &CampaignConfig,
 ) -> Measured {
     let space = FaultSpace::all_ffs(harness.netlist(), harness.topology(), config.cycles);
@@ -310,6 +314,24 @@ fn main() {
             ..CampaignConfig::default()
         };
         results.push(measure(&mut c, "uart_tx", &harness, &config));
+    }
+
+    // The CPU cores with their memories attached: 64-cycle windows like
+    // the end-to-end core workloads, sampled so the scalar row, which
+    // re-runs the memories from cycle 0 for every point, takes a few
+    // seconds (shrunk in quick mode).
+    {
+        let sample = if is_quick_test() { 32 } else { 640 };
+        let config = CampaignConfig {
+            cycles: 64,
+            sample: Some(sample),
+            seed: 17,
+            ..CampaignConfig::default()
+        };
+        let harness = AvrWorkload::new(avr::programs::fib(Termination::Loop), Vec::new());
+        results.push(measure(&mut c, "avr_fib", &harness, &config));
+        let harness = Msp430Workload::new(msp430::programs::conv(Termination::Loop));
+        results.push(measure(&mut c, "msp430_conv", &harness, &config));
     }
 
     for m in &results {

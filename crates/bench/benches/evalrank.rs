@@ -302,7 +302,7 @@ fn main() {
     let (n, topo) = random_circuit(cfg, 20_18);
     let wires = mate::ff_wires(&n, &topo);
     let harness = drive_all_inputs(StimulusHarness::new(n, topo), 41, cycles);
-    let trace = harness.testbench().run(cycles);
+    let trace = harness.testbench().unwrap().run(cycles);
     let mates = synthetic_mates(7, harness.netlist().num_nets(), &wires, num_mates);
 
     let (eval_m, rank_m) = measure_eval_and_rank(&mut c, "", &trace, &mates, &wires);
@@ -335,7 +335,7 @@ fn main() {
             let net = harness.netlist().find_net(&name).unwrap();
             harness = harness.drive(net, values);
         }
-        let utrace = harness.testbench().run(cycles);
+        let utrace = harness.testbench().unwrap().run(cycles);
         let umates = synthetic_mates(13, harness.netlist().num_nets(), &uwires, num_mates);
         let (e, r) = measure_eval_and_rank(&mut c, "_uart_tx", &utrace, &umates, &uwires);
         // Exhaustive 17-FF space: small enough to skip sampling.

@@ -32,9 +32,9 @@ fn main() {
 
     // --------------------------------------------------------------
     // Gate level: SEUs in register-file flip-flops of the netlist,
-    // classified by the pipeline's campaign stage (the snapshotable AVR
-    // memories select the checkpoint engine, so no per-point warm-up
-    // replay) and persisted to the artifact store.
+    // classified by the pipeline's campaign stage (the differential engine,
+    // replaying the AVR memories' responses from the golden trace) and
+    // persisted to the artifact store.
     // --------------------------------------------------------------
     let mut flow = Flow::open_default(Core::Avr.design_source()).expect("pipeline failure");
     let rf_wires = {

@@ -189,7 +189,7 @@ mod tests {
         let mut model = AvrModel::new(&program);
         model.run(2000);
         let sys = AvrSystem::new();
-        let run = sys.run(&program, &[], 2100);
+        let run = sys.run(&program, &[], 2100).unwrap();
         assert!(run.halted);
         assert_eq!(run.port_log, model.port_log);
         assert_eq!(run.dmem, model.dmem);
@@ -203,7 +203,7 @@ mod tests {
         model.load_dmem(&dmem);
         model.run(10_000);
         let sys = AvrSystem::new();
-        let run = sys.run(&program, &dmem, 4000);
+        let run = sys.run(&program, &dmem, 4000).unwrap();
         assert!(run.halted, "conv must finish within 4000 cycles");
         assert_eq!(run.port_log, model.port_log);
         assert_eq!(run.dmem, model.dmem);
@@ -212,7 +212,7 @@ mod tests {
     #[test]
     fn looping_variants_never_halt() {
         let sys = AvrSystem::new();
-        let run = sys.run(&fib(Termination::Loop), &[], 1000);
+        let run = sys.run(&fib(Termination::Loop), &[], 1000).unwrap();
         assert!(!run.halted);
         // Multiple passes produce repeated sequences.
         assert!(run.port_log.len() > FIB_ITERATIONS);

@@ -1,10 +1,9 @@
 //! Simulation harness binding instruction/data memories to the AVR core.
 
-use std::cell::RefCell;
-use std::rc::Rc;
+use mate_netlist::{MateError, Netlist, Topology};
+use mate_sim::{Testbench, WaveTrace};
 
-use mate_netlist::{Netlist, Topology};
-use mate_sim::{Simulator, SnapshotDevice, Testbench, WaveTrace};
+use crate::memory::{Memory, SharedMemory};
 
 use super::core::{build_avr, AvrPorts};
 use super::isa::Flags;
@@ -13,68 +12,6 @@ use super::isa::Flags;
 pub const DMEM_SIZE: usize = 256;
 /// Size of the instruction memory in 16-bit words.
 pub const IMEM_SIZE: usize = 4096;
-
-/// The instruction ROM device: feeds `imem_data` from the fetched address.
-/// Read-only, so its snapshot state is empty.
-struct AvrRom {
-    rom: Vec<u16>,
-    ports: AvrPorts,
-}
-
-impl<'n> SnapshotDevice<'n> for AvrRom {
-    fn on_cycle(&mut self, sim: &mut Simulator<'n>) {
-        let addr = sim.read_bus(self.ports.imem_addr.nets()) as usize;
-        let word = self.rom.get(addr).copied().unwrap_or(0);
-        sim.write_bus(self.ports.imem_data.nets(), u64::from(word));
-    }
-
-    fn state(&self) -> Vec<u64> {
-        Vec::new()
-    }
-
-    fn load_state(&mut self, state: &[u64]) {
-        assert!(state.is_empty(), "ROM carries no mutable state");
-    }
-}
-
-/// The data RAM device: asynchronous read every cycle, write when `dmem_we`
-/// is high.  Snapshots capture the full memory image, eight bytes per word.
-struct AvrRam {
-    ram: Rc<RefCell<Vec<u8>>>,
-    ports: AvrPorts,
-}
-
-impl<'n> SnapshotDevice<'n> for AvrRam {
-    fn on_cycle(&mut self, sim: &mut Simulator<'n>) {
-        let addr = sim.read_bus(self.ports.dmem_addr.nets()) as usize;
-        let rdata = self.ram.borrow()[addr];
-        sim.write_bus(self.ports.dmem_rdata.nets(), u64::from(rdata));
-        if sim.value(self.ports.dmem_we.bit(0)) {
-            let wdata = sim.read_bus(self.ports.dmem_wdata.nets()) as u8;
-            self.ram.borrow_mut()[addr] = wdata;
-        }
-    }
-
-    fn state(&self) -> Vec<u64> {
-        self.ram
-            .borrow()
-            .chunks(8)
-            .map(|chunk| {
-                let mut bytes = [0u8; 8];
-                bytes[..chunk.len()].copy_from_slice(chunk);
-                u64::from_le_bytes(bytes)
-            })
-            .collect()
-    }
-
-    fn load_state(&mut self, state: &[u64]) {
-        let mut ram = self.ram.borrow_mut();
-        assert_eq!(state.len(), ram.len().div_ceil(8), "RAM snapshot mismatch");
-        for (i, byte) in ram.iter_mut().enumerate() {
-            *byte = state[i / 8].to_le_bytes()[i % 8];
-        }
-    }
-}
 
 /// The result of running a program on the gate-level core.
 #[derive(Clone, Debug)]
@@ -105,9 +42,10 @@ pub struct AvrRun {
 /// let sys = AvrSystem::new();
 /// let mut a = Assembler::new();
 /// a.ldi(16, 21).add(16, 16).out(16).halt();
-/// let run = sys.run(&a.assemble(), &[], 50);
+/// let run = sys.run(&a.assemble(), &[], 50)?;
 /// assert!(run.halted);
 /// assert_eq!(run.port_log, vec![42]);
+/// # Ok::<(), mate_netlist::MateError>(())
 /// ```
 #[derive(Debug)]
 pub struct AvrSystem {
@@ -153,43 +91,55 @@ impl AvrSystem {
     /// Returns the testbench plus a shared handle on the data memory (the
     /// memory outlives the run so campaigns can diff final contents).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the program or data image exceed the memory sizes.
+    /// Returns [`MateError::Device`] if the program or data image exceed
+    /// the memory sizes.
     pub fn testbench(
         &self,
         program: &[u16],
         dmem_init: &[u8],
-    ) -> (Testbench<'_>, Rc<RefCell<Vec<u8>>>) {
-        assert!(program.len() <= IMEM_SIZE, "program overflows imem");
-        assert!(dmem_init.len() <= DMEM_SIZE, "data image overflows dmem");
-        let mut rom = vec![0u16; IMEM_SIZE];
-        rom[..program.len()].copy_from_slice(program);
-        let mut ram = vec![0u8; DMEM_SIZE];
-        ram[..dmem_init.len()].copy_from_slice(dmem_init);
-        let ram = Rc::new(RefCell::new(ram));
-
+    ) -> Result<(Testbench<'_>, SharedMemory<u8>), MateError> {
+        let p = &self.ports;
+        let rom = Memory::new(
+            "avr-imem",
+            IMEM_SIZE,
+            program,
+            &p.imem_addr,
+            &p.imem_data,
+            None,
+        )?;
+        let write = Some((&p.dmem_we, &p.dmem_wdata));
+        let ram = Memory::new(
+            "avr-dmem",
+            DMEM_SIZE,
+            dmem_init,
+            &p.dmem_addr,
+            &p.dmem_rdata,
+            write,
+        )?;
+        let dmem = ram.words();
         let mut tb = Testbench::new(&self.netlist, &self.topo);
-        // Both memories are snapshotable, so AVR campaigns can seed faulty
-        // runs from golden-state checkpoints instead of replaying the
-        // warm-up prefix.
-        tb.attach_snapshot(Box::new(AvrRom {
-            rom,
-            ports: self.ports.clone(),
-        }));
-        tb.attach_snapshot(Box::new(AvrRam {
-            ram: ram.clone(),
-            ports: self.ports.clone(),
-        }));
-        (tb, ram)
+        tb.attach(Box::new(rom))?.attach(Box::new(ram))?;
+        Ok((tb, dmem))
     }
 
     /// Runs `program` for exactly `cycles` cycles and collects the results.
-    pub fn run(&self, program: &[u16], dmem_init: &[u8], cycles: usize) -> AvrRun {
-        let (mut tb, ram) = self.testbench(program, dmem_init);
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MateError::Device`] if the program or data image exceed
+    /// the memory sizes.
+    pub fn run(
+        &self,
+        program: &[u16],
+        dmem_init: &[u8],
+        cycles: usize,
+    ) -> Result<AvrRun, MateError> {
+        let (mut tb, ram) = self.testbench(program, dmem_init)?;
         let trace = tb.run(cycles);
         let dmem = ram.borrow().clone();
-        self.collect(trace, &dmem)
+        Ok(self.collect(trace, &dmem))
     }
 
     /// Extracts architectural results from a recorded trace.
@@ -238,7 +188,7 @@ mod tests {
         assert!(model.halted, "model must halt within {cycles} steps");
 
         let sys = AvrSystem::new();
-        let run = sys.run(&program, dmem, cycles + 4);
+        let run = sys.run(&program, dmem, cycles + 4).unwrap();
         assert!(run.halted, "netlist must halt");
         assert_eq!(run.regs[..], model.regs[..], "registers diverge");
         assert_eq!(run.dmem, model.dmem, "memory diverges");
@@ -251,7 +201,7 @@ mod tests {
         let sys = AvrSystem::new();
         let mut a = Assembler::new();
         a.ldi(16, 21).add(16, 16).out(16).halt();
-        let run = sys.run(&a.assemble(), &[], 50);
+        let run = sys.run(&a.assemble(), &[], 50).unwrap();
         assert!(run.halted);
         assert_eq!(run.port_log, vec![42]);
         assert_eq!(run.regs[16], 42);
@@ -388,7 +338,7 @@ mod tests {
         let sys = AvrSystem::new();
         let mut a = Assembler::new();
         a.ldi(16, 3).halt().ldi(16, 99);
-        let run = sys.run(&a.assemble(), &[], 40);
+        let run = sys.run(&a.assemble(), &[], 40).unwrap();
         assert!(run.halted);
         assert_eq!(run.regs[16], 3, "post-HALT instruction must not run");
         let halt_at = run.halt_cycle.unwrap();

@@ -2,7 +2,7 @@
 //! fault-injection campaigns.
 
 use mate_hafi::DesignHarness;
-use mate_netlist::{Netlist, Topology};
+use mate_netlist::{MateError, Netlist, Topology};
 use mate_sim::Testbench;
 
 use crate::avr::system::AvrSystem;
@@ -18,8 +18,9 @@ use crate::msp430::system::Msp430System;
 /// use mate_hafi::{golden_run, DesignHarness};
 ///
 /// let workload = AvrWorkload::new(programs::fib(Termination::Loop), vec![]);
-/// let golden = golden_run(&workload, 64);
+/// let golden = golden_run(&workload, 64)?;
 /// assert_eq!(golden.trace.num_cycles(), 64);
+/// # Ok::<(), mate_netlist::MateError>(())
 /// ```
 #[derive(Debug)]
 pub struct AvrWorkload {
@@ -53,8 +54,8 @@ impl DesignHarness for AvrWorkload {
         self.sys.topology()
     }
 
-    fn testbench(&self) -> Testbench<'_> {
-        self.sys.testbench(&self.program, &self.dmem).0
+    fn testbench(&self) -> Result<Testbench<'_>, MateError> {
+        Ok(self.sys.testbench(&self.program, &self.dmem)?.0)
     }
 }
 
@@ -68,8 +69,9 @@ impl DesignHarness for AvrWorkload {
 /// use mate_hafi::{golden_run, DesignHarness};
 ///
 /// let workload = Msp430Workload::new(programs::fib(Termination::Loop));
-/// let golden = golden_run(&workload, 64);
+/// let golden = golden_run(&workload, 64)?;
 /// assert_eq!(golden.trace.num_cycles(), 64);
+/// # Ok::<(), mate_netlist::MateError>(())
 /// ```
 #[derive(Debug)]
 pub struct Msp430Workload {
@@ -101,8 +103,8 @@ impl DesignHarness for Msp430Workload {
         self.sys.topology()
     }
 
-    fn testbench(&self) -> Testbench<'_> {
-        self.sys.testbench(&self.image).0
+    fn testbench(&self) -> Result<Testbench<'_>, MateError> {
+        Ok(self.sys.testbench(&self.image)?.0)
     }
 }
 
@@ -117,16 +119,16 @@ mod tests {
     #[test]
     fn avr_workload_runs_are_reproducible() {
         let w = AvrWorkload::new(avr_programs::fib(Termination::Loop), vec![]);
-        let a = golden_run(&w, 50);
-        let b = golden_run(&w, 50);
+        let a = golden_run(&w, 50).unwrap();
+        let b = golden_run(&w, 50).unwrap();
         assert_eq!(a.trace, b.trace);
     }
 
     #[test]
     fn msp430_workload_runs_are_reproducible() {
         let w = Msp430Workload::new(msp_programs::conv(Termination::Loop));
-        let a = golden_run(&w, 50);
-        let b = golden_run(&w, 50);
+        let a = golden_run(&w, 50).unwrap();
+        let b = golden_run(&w, 50).unwrap();
         assert_eq!(a.trace, b.trace);
     }
 }

@@ -18,16 +18,18 @@
 //! * a programmatic two-pass assembler (`asm`),
 //! * an ISA-level reference interpreter (`model`) used to cross-check the
 //!   gate-level implementation,
-//! * a simulation harness (`system`) binding instruction/data memories to
-//!   the netlist ports, and
+//! * a simulation harness (`system`) binding instruction/data memories (one
+//!   shared memory device) to the netlist ports, and
 //! * the two paper workloads `fib()` and `conv()` (`programs`).
 
 pub mod avr;
 pub mod harness;
+mod memory;
 pub mod msp430;
 
 pub use avr::system::AvrSystem;
 pub use harness::{AvrWorkload, Msp430Workload};
+pub use memory::SharedMemory;
 pub use msp430::system::Msp430System;
 
 /// How a generated workload ends.

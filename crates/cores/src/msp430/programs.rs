@@ -191,7 +191,7 @@ mod tests {
         let mut model = Msp430Model::new(&image);
         model.run(10_000);
         let sys = Msp430System::new();
-        let run = sys.run(&image, 4000);
+        let run = sys.run(&image, 4000).unwrap();
         assert!(run.halted);
         assert_eq!(run.mem, model.mem);
         assert_eq!(run.regs[..], model.regs[..]);
@@ -203,7 +203,7 @@ mod tests {
         let mut model = Msp430Model::new(&image);
         model.run(100_000);
         let sys = Msp430System::new();
-        let run = sys.run(&image, 40_000);
+        let run = sys.run(&image, 40_000).unwrap();
         assert!(run.halted, "conv must finish");
         assert_eq!(run.mem, model.mem);
     }
@@ -211,7 +211,7 @@ mod tests {
     #[test]
     fn looping_variant_never_halts() {
         let sys = Msp430System::new();
-        let run = sys.run(&fib(Termination::Loop), 3000);
+        let run = sys.run(&fib(Termination::Loop), 3000).unwrap();
         assert!(!run.halted);
     }
 }

@@ -1,60 +1,13 @@
 //! Simulation harness binding the unified memory to the MSP430 core.
 
-use std::cell::RefCell;
-use std::rc::Rc;
+use mate_netlist::{MateError, Netlist, Topology};
+use mate_sim::{Testbench, WaveTrace};
 
-use mate_netlist::{Netlist, Topology};
-use mate_sim::{Simulator, SnapshotDevice, Testbench, WaveTrace};
+use crate::memory::{Memory, SharedMemory};
 
 use super::core::{build_msp430, Msp430Ports};
 use super::isa::SrFlags;
 use super::model::MEM_WORDS;
-
-/// The unified memory device: asynchronous read every cycle, write when
-/// `mem_we` is high.  Snapshots capture the full image, four 16-bit words
-/// per `u64`.
-struct Msp430Mem {
-    mem: Rc<RefCell<Vec<u16>>>,
-    ports: Msp430Ports,
-}
-
-impl<'n> SnapshotDevice<'n> for Msp430Mem {
-    fn on_cycle(&mut self, sim: &mut Simulator<'n>) {
-        let addr = sim.read_bus(self.ports.mem_addr.nets()) as usize % MEM_WORDS;
-        let rdata = self.mem.borrow()[addr];
-        sim.write_bus(self.ports.mem_rdata.nets(), u64::from(rdata));
-        if sim.value(self.ports.mem_we.bit(0)) {
-            let wdata = sim.read_bus(self.ports.mem_wdata.nets()) as u16;
-            self.mem.borrow_mut()[addr] = wdata;
-        }
-    }
-
-    fn state(&self) -> Vec<u64> {
-        self.mem
-            .borrow()
-            .chunks(4)
-            .map(|chunk| {
-                let mut packed = 0u64;
-                for (i, &w) in chunk.iter().enumerate() {
-                    packed |= u64::from(w) << (16 * i);
-                }
-                packed
-            })
-            .collect()
-    }
-
-    fn load_state(&mut self, state: &[u64]) {
-        let mut mem = self.mem.borrow_mut();
-        assert_eq!(
-            state.len(),
-            mem.len().div_ceil(4),
-            "memory snapshot mismatch"
-        );
-        for (i, word) in mem.iter_mut().enumerate() {
-            *word = (state[i / 4] >> (16 * (i % 4))) as u16;
-        }
-    }
-}
 
 /// The result of running a program on the gate-level core.
 #[derive(Clone, Debug)]
@@ -87,9 +40,10 @@ pub struct Msp430Run {
 /// a.mov(Src::Imm(40), Dst::Reg(4));
 /// a.add(Src::Imm(2), Dst::Reg(4));
 /// a.halt();
-/// let run = sys.run(&a.assemble(), 200);
+/// let run = sys.run(&a.assemble(), 200)?;
 /// assert!(run.halted);
 /// assert_eq!(run.regs[4], 42);
+/// # Ok::<(), mate_netlist::MateError>(())
 /// ```
 #[derive(Debug)]
 pub struct Msp430System {
@@ -133,31 +87,39 @@ impl Msp430System {
     /// Builds a testbench with the unified memory attached; returns the
     /// shared memory handle.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the image exceeds the memory size.
-    pub fn testbench(&self, image: &[u16]) -> (Testbench<'_>, Rc<RefCell<Vec<u16>>>) {
-        assert!(image.len() <= MEM_WORDS, "image overflows memory");
-        let mut words = vec![0u16; MEM_WORDS];
-        words[..image.len()].copy_from_slice(image);
-        let mem = Rc::new(RefCell::new(words));
-
+    /// Returns [`MateError::Device`] if the image exceeds the memory size.
+    pub fn testbench(
+        &self,
+        image: &[u16],
+    ) -> Result<(Testbench<'_>, SharedMemory<u16>), MateError> {
+        let p = &self.ports;
+        let write = Some((&p.mem_we, &p.mem_wdata));
+        let mem = Memory::new(
+            "msp430-mem",
+            MEM_WORDS,
+            image,
+            &p.mem_addr,
+            &p.mem_rdata,
+            write,
+        )?;
+        let words = mem.words();
         let mut tb = Testbench::new(&self.netlist, &self.topo);
-        // Snapshotable, so MSP430 campaigns can seed faulty runs from
-        // golden-state checkpoints instead of replaying the warm-up prefix.
-        tb.attach_snapshot(Box::new(Msp430Mem {
-            mem: mem.clone(),
-            ports: self.ports.clone(),
-        }));
-        (tb, mem)
+        tb.attach(Box::new(mem))?;
+        Ok((tb, words))
     }
 
     /// Runs `image` for exactly `cycles` cycles and collects the results.
-    pub fn run(&self, image: &[u16], cycles: usize) -> Msp430Run {
-        let (mut tb, mem) = self.testbench(image);
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MateError::Device`] if the image exceeds the memory size.
+    pub fn run(&self, image: &[u16], cycles: usize) -> Result<Msp430Run, MateError> {
+        let (mut tb, mem) = self.testbench(image)?;
         let trace = tb.run(cycles);
         let words = mem.borrow().clone();
-        self.collect(trace, &words)
+        Ok(self.collect(trace, &words))
     }
 
     /// Extracts architectural results from a recorded trace.
@@ -199,7 +161,7 @@ mod tests {
         assert!(model.halted(), "model must halt");
 
         let sys = Msp430System::new();
-        let run = sys.run(&image, cycles * 8);
+        let run = sys.run(&image, cycles * 8).unwrap();
         assert!(run.halted, "netlist must halt");
         assert_eq!(run.regs[..], model.regs[..], "registers diverge");
         assert_eq!(run.mem, model.mem, "memory diverges");
@@ -212,7 +174,7 @@ mod tests {
         a.mov(Src::Imm(40), Dst::Reg(4));
         a.add(Src::Imm(2), Dst::Reg(4));
         a.halt();
-        let run = sys.run(&a.assemble(), 200);
+        let run = sys.run(&a.assemble(), 200).unwrap();
         assert!(run.halted);
         assert_eq!(run.regs[4], 42);
     }
@@ -334,7 +296,7 @@ mod tests {
         let sys = Msp430System::new();
         let mut a = Assembler::new();
         a.halt();
-        let run = sys.run(&a.assemble(), 60);
+        let run = sys.run(&a.assemble(), 60).unwrap();
         assert!(run.halted);
         let halt_at = run.halt_cycle.unwrap();
         let state_nets = sys.ports().state.nets();

@@ -98,7 +98,7 @@ proptest! {
         let sys = AvrSystem::new();
         // The pipeline needs at most 2 cycles per instruction (branch
         // bubbles) plus the fill cycle.
-        let run = sys.run(&program, &dmem, 2 * steps + 8);
+        let run = sys.run(&program, &dmem, 2 * steps + 8).unwrap();
         prop_assert!(run.halted, "netlist must halt");
         prop_assert_eq!(&run.regs[..], &model.regs[..], "registers diverge (seed {})", seed);
         prop_assert_eq!(&run.dmem, &model.dmem, "memory diverges (seed {})", seed);
@@ -216,7 +216,7 @@ proptest! {
 
         let sys = Msp430System::new();
         // Worst case 7 cycles per instruction.
-        let run = sys.run(&image, 8 * steps + 16);
+        let run = sys.run(&image, 8 * steps + 16).unwrap();
         prop_assert!(run.halted, "netlist must halt");
         prop_assert_eq!(&run.regs[..], &model.regs[..], "registers diverge (seed {})", seed);
         prop_assert_eq!(&run.mem, &model.mem, "memory diverges (seed {})", seed);

@@ -1,9 +1,12 @@
 //! Injection campaigns and outcome classification.
 //!
-//! Wide-capable workloads are served by two batched, bit-identical engines
+//! Every campaign runs on one of two batched, bit-identical engines
 //! selected through [`CampaignEngine`]: the full-settle [`WideSimulator`]
-//! reference and the default event-driven [`DeltaSimulator`], whose work
-//! per cycle scales with fault-cone activity instead of netlist size.
+//! reference and the event-driven [`DeltaSimulator`], whose work per cycle
+//! scales with fault-cone activity instead of netlist size.  Both replay
+//! every primary input from the golden trace, which is exact for any
+//! harness whose devices attached (see [`classify_points`]); the scalar
+//! [`inject`] oracle runs the real devices.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -75,13 +78,18 @@ pub struct GoldenRun {
 }
 
 /// Runs the workload fault-free for `cycles` cycles.
-pub fn golden_run(harness: &dyn DesignHarness, cycles: usize) -> GoldenRun {
-    let trace = harness.testbench().run(cycles);
-    GoldenRun {
+///
+/// # Errors
+///
+/// Returns [`MateError::Device`] when the harness cannot build its
+/// testbench.
+pub fn golden_run(harness: &dyn DesignHarness, cycles: usize) -> Result<GoldenRun, MateError> {
+    let trace = harness.testbench()?.run(cycles);
+    Ok(GoldenRun {
         trace,
         state_nets: state_nets(harness.netlist(), harness.topology()),
         output_nets: harness.netlist().outputs().to_vec(),
-    }
+    })
 }
 
 fn state_nets(netlist: &Netlist, topo: &Topology) -> Vec<NetId> {
@@ -97,14 +105,15 @@ fn state_nets(netlist: &Netlist, topo: &Topology) -> Vec<NetId> {
 /// # Errors
 ///
 /// Returns [`MateError::Campaign`] if `point.cycle` lies beyond the golden
-/// trace.
+/// trace, or [`MateError::Device`] if the harness cannot build its
+/// testbench.
 pub fn inject(
     harness: &dyn DesignHarness,
     golden: &GoldenRun,
     point: FaultPoint,
 ) -> Result<FaultEffect, MateError> {
     check_horizon(golden, point.cycle)?;
-    let mut tb = harness.testbench();
+    let mut tb = harness.testbench()?;
 
     // Advance fault-free to the injection cycle.
     for _ in 0..point.cycle {
@@ -134,7 +143,6 @@ fn classify(
 ) -> FaultEffect {
     let horizon = golden.trace.num_cycles();
     let mut state_equal_at: Option<usize> = None;
-    let mut diverged_again = false;
     for cycle in injected_at..horizon {
         let mut outputs_ok = true;
         let mut state_ok = true;
@@ -162,22 +170,22 @@ fn classify(
                 if state_equal_at.is_none() {
                     state_equal_at = Some(cycle - injected_at);
                 }
-            } else if state_equal_at.is_some() {
-                // Re-diverged after apparent convergence (possible only via
-                // diverged external device state, e.g. corrupted memory).
-                diverged_again = true;
+            } else {
+                // Not converged (yet, or again: a re-divergence would need
+                // diverged device state, which the device contract rules
+                // out, but the oracle checks rather than assumes it).
                 state_equal_at = None;
             }
         }
     }
     match state_equal_at {
-        Some(1) if !diverged_again => FaultEffect::MaskedWithinOneCycle,
+        Some(1) => FaultEffect::MaskedWithinOneCycle,
         Some(after) => FaultEffect::SilentRecovery { after },
         None => FaultEffect::Latent,
     }
 }
 
-/// Which batched engine classifies wide-capable workloads.
+/// Which batched engine classifies a campaign.
 ///
 /// All choices produce bit-identical [`FaultEffect`] classifications for
 /// every thread count (enforced by the campaign proptests); the choice only
@@ -239,20 +247,23 @@ impl fmt::Display for CampaignEngine {
     }
 }
 
-/// Classifies a batch of fault points against `golden` on one of two
-/// paths, both bit-identical to one [`inject`] per point:
+/// Classifies a batch of fault points against `golden`, bit-identically
+/// to one [`inject`] per point.
 ///
-/// 1. **Wide** — no external devices: up to 64 fault points per injection
-///    cycle are packed into the lanes of a batched engine seeded directly
-///    from the golden trace at the injection cycle, then classified in
-///    lock-step with per-lane early retirement.  `engine` picks between the
-///    event-driven [`CampaignEngine::Differential`] engine and the
-///    full-settle [`CampaignEngine::FullSettle`] reference;
-///    [`CampaignEngine::Auto`] resolves to one of them from the design.
-/// 2. **Checkpointed scalar** — a testbench with devices (the cores'
-///    memories): one incremental golden run captures a checkpoint at every
-///    injection cycle; each faulty run is seeded by restore instead of
-///    replaying the warm-up prefix.
+/// Up to 64 fault points per injection cycle are packed into the lanes of
+/// a batched engine seeded from the golden trace at the injection cycle,
+/// then classified in lock-step with per-lane early retirement.  `engine`
+/// picks between the event-driven [`CampaignEngine::Differential`] engine
+/// and the full-settle [`CampaignEngine::FullSettle`] reference;
+/// [`CampaignEngine::Auto`] resolves to one of them from the design.
+///
+/// Both engines replay every primary input from the golden trace instead
+/// of building a testbench and running its devices.  That is exact because
+/// the golden run attached every device under the contract
+/// [`mate_sim::Testbench::attach`] checks: a lane whose outputs have
+/// matched golden so far has shown its devices only golden values, so the
+/// inputs they drive are golden too, and its first wrong output retires it
+/// as [`FaultEffect::OutputFailure`].
 ///
 /// Results are returned in the order of `points`.
 ///
@@ -269,15 +280,11 @@ pub fn classify_points(
     for p in points {
         check_horizon(golden, p.cycle)?;
     }
-    Ok(if harness.testbench().can_run_wide() {
-        match engine.resolve(harness.topology()) {
-            CampaignEngine::FullSettle => classify_points_full_settle(harness, golden, points),
-            CampaignEngine::Differential | CampaignEngine::Auto => {
-                classify_points_differential(harness, golden, points)
-            }
+    Ok(match engine.resolve(harness.topology()) {
+        CampaignEngine::FullSettle => classify_points_full_settle(harness, golden, points),
+        CampaignEngine::Differential | CampaignEngine::Auto => {
+            classify_points_differential(harness, golden, points)
         }
-    } else {
-        classify_points_checkpoint(harness, golden, points)
     })
 }
 
@@ -347,22 +354,18 @@ impl GoldenPartition {
 /// seeded from the golden trace, and compares every lane against golden
 /// with word XORs.
 ///
-/// Early retirement is sound here because the wide path requires a harness
-/// without devices: once a lane's full flip-flop state re-converges to the
-/// golden state (inputs are golden by construction), *every* net of that
-/// lane equals golden in all later cycles, so its classification is already
-/// decided — `OutputFailure` can no longer occur and the recorded
-/// convergence offset is final, exactly as the scalar classifier would
-/// conclude after running out the horizon.
+/// Early retirement is sound because inputs are golden by construction:
+/// once a lane's full flip-flop state re-converges to the golden state,
+/// *every* net of that lane equals golden in all later cycles, so its
+/// classification is already decided — `OutputFailure` can no longer occur
+/// and the recorded convergence offset is final, exactly as the scalar
+/// classifier would conclude after running out the horizon.
 fn classify_points_full_settle(
     harness: &dyn DesignHarness,
     golden: &GoldenRun,
     points: &[FaultPoint],
 ) -> Vec<FaultEffect> {
     let horizon = golden.trace.num_cycles();
-    // The testbench is used purely as a stimulus source; its waves may be
-    // sampled at arbitrary cycles.
-    let stim = harness.testbench();
     let mut wide = WideSimulator::new(harness.netlist(), harness.topology());
     // Golden comparisons are precomputed per cycle: the observed nets are
     // partitioned by golden value once, outside the chunk loop, so the
@@ -385,7 +388,7 @@ fn classify_points_full_settle(
             }
             let mut active = low_lanes(chunk.len());
             for t in cycle..horizon {
-                stim.apply_stimuli_wide(&mut wide, t as u64);
+                wide.load_inputs_from_trace(&golden.trace, t);
                 wide.settle();
                 // Outputs first, mirroring the scalar classifier's priority.
                 let mut out_diff = 0u64;
@@ -437,8 +440,8 @@ fn classify_points_full_settle(
 
 /// The event-driven engine behind [`classify_points`]: like
 /// [`classify_points_full_settle`] in grouping and retirement, but the
-/// chunk runs on a [`DeltaSimulator`] — campaign stimuli equal the golden
-/// stimuli by construction, so input deltas are identically zero and only
+/// chunk runs on a [`DeltaSimulator`] — campaign inputs are the golden
+/// inputs by construction, so input deltas are identically zero and only
 /// the dirty fan-out frontier of each fault cone is ever re-evaluated.  The
 /// classification scan walks the simulator's nonzero-delta set rather than
 /// all observed nets: any net absent from it matches golden in every lane.
@@ -518,41 +521,6 @@ fn classify_points_differential(
     effects
 }
 
-/// The checkpointed scalar engine behind [`classify_points`]: one
-/// incremental golden run captures a [`mate_sim::TestbenchCheckpoint`] at
-/// every distinct injection cycle, then each point restores its checkpoint
-/// into a reusable work testbench instead of replaying cycles `0..c`.
-fn classify_points_checkpoint(
-    harness: &dyn DesignHarness,
-    golden: &GoldenRun,
-    points: &[FaultPoint],
-) -> Vec<FaultEffect> {
-    let needed: std::collections::BTreeSet<usize> = points.iter().map(|p| p.cycle).collect();
-    let mut checkpoints = BTreeMap::new();
-    if let Some(&last) = needed.iter().next_back() {
-        let mut gtb = harness.testbench();
-        for c in 0..=last {
-            if needed.contains(&c) {
-                // State at the *start* of cycle `c`: captured before the
-                // testbench steps through it.
-                checkpoints.insert(c, gtb.checkpoint());
-            }
-            if c < last {
-                gtb.step();
-            }
-        }
-    }
-    let mut work = harness.testbench();
-    points
-        .iter()
-        .map(|&p| {
-            work.restore(&checkpoints[&p.cycle]);
-            work.sim_mut().flip_ff(p.ff);
-            classify(&mut work, golden, p.cycle)
-        })
-        .collect()
-}
-
 /// Injects a *simultaneous* multi-bit SEU (all points in the same cycle)
 /// and classifies it against `golden` — the fault model of the paper's
 /// Section 6.2.
@@ -560,7 +528,8 @@ fn classify_points_checkpoint(
 /// # Errors
 ///
 /// Returns [`MateError::Campaign`] if the points lie in different cycles,
-/// no point is given, or the cycle lies beyond the golden trace.
+/// no point is given, or the cycle lies beyond the golden trace, or
+/// [`MateError::Device`] if the harness cannot build its testbench.
 pub fn inject_multi(
     harness: &dyn DesignHarness,
     golden: &GoldenRun,
@@ -576,7 +545,7 @@ pub fn inject_multi(
     }
     let cycle = first.cycle;
     check_horizon(golden, cycle)?;
-    let mut tb = harness.testbench();
+    let mut tb = harness.testbench()?;
     for _ in 0..cycle {
         tb.step();
     }
@@ -593,7 +562,8 @@ pub fn inject_multi(
 /// # Errors
 ///
 /// Returns [`MateError::Campaign`] if `hold_cycles` is zero or the affected
-/// window leaves the golden trace.
+/// window leaves the golden trace, or [`MateError::Device`] if the harness
+/// cannot build its testbench.
 pub fn inject_persistent(
     harness: &dyn DesignHarness,
     golden: &GoldenRun,
@@ -612,7 +582,7 @@ pub fn inject_persistent(
             point.cycle
         )));
     }
-    let mut tb = harness.testbench();
+    let mut tb = harness.testbench()?;
     for _ in 0..point.cycle {
         tb.step();
     }
@@ -681,8 +651,8 @@ pub struct CampaignConfig {
     /// cores (the [`crate::SearchConfig`]-style convention).  Results are
     /// bit-identical for every thread count.
     pub threads: usize,
-    /// Which batched engine classifies wide-capable workloads.  Results
-    /// are bit-identical for every choice.
+    /// Which batched engine classifies the campaign.  Results are
+    /// bit-identical for every choice.
     pub engine: CampaignEngine,
 }
 
@@ -797,7 +767,8 @@ impl CampaignResult {
 ///
 /// Returns [`MateError::Campaign`] when an injection is invalid (cannot
 /// happen for points drawn from `space` with an in-range cycle filter, but
-/// propagated for API uniformity).
+/// propagated for API uniformity), or [`MateError::Device`] when the
+/// harness cannot build its testbench.
 pub fn run_campaign(
     harness: &dyn DesignHarness,
     space: &FaultSpace,
@@ -805,7 +776,7 @@ pub fn run_campaign(
 ) -> Result<CampaignResult, MateError> {
     // One extra golden cycle so an injection at the last campaign cycle
     // still has a `t+1` state to be judged against.
-    let golden = golden_run(harness, config.cycles + 1);
+    let golden = golden_run(harness, config.cycles + 1)?;
     let points: Vec<FaultPoint> = match config.sample {
         Some(count) => space.sample(count, config.seed),
         None => space.iter().collect(),
@@ -842,15 +813,18 @@ fn effective_threads(threads: usize, points: usize) -> usize {
 /// slice of the result buffer, so the records come back in the original
 /// point order and are bit-identical for every thread count — including the
 /// single-threaded path, which skips thread spawning entirely.
+///
 /// # Errors
 ///
-/// Returns [`MateError::Campaign`] when an injection is invalid.
+/// Returns [`MateError::Campaign`] when an injection is invalid, or
+/// [`MateError::Device`] when the harness cannot build the testbench of its
+/// golden run.
 pub fn run_campaign_wide(
     harness: &(dyn DesignHarness + Sync),
     space: &FaultSpace,
     config: &CampaignConfig,
 ) -> Result<CampaignResult, MateError> {
-    let golden = golden_run(harness, config.cycles + 1);
+    let golden = golden_run(harness, config.cycles + 1)?;
     let points: Vec<FaultPoint> = match config.sample {
         Some(count) => space.sample(count, config.seed),
         None => space.iter().collect(),
@@ -900,7 +874,7 @@ mod tests {
         let (n, topo) = counter(3);
         let en = n.find_net("en").unwrap();
         let harness = StimulusHarness::new(n, topo).drive(en, vec![true]);
-        let golden = golden_run(&harness, 10);
+        let golden = golden_run(&harness, 10).unwrap();
         let ff0 = harness.topology().seq_cells()[0];
         let wire = harness.netlist().cell(ff0).output();
         let effect = inject(
@@ -925,7 +899,7 @@ mod tests {
         let harness = StimulusHarness::new(n, topo)
             .drive(load, vec![true, false])
             .drive(din, vec![true]);
-        let golden = golden_run(&harness, 8);
+        let golden = golden_run(&harness, 8).unwrap();
         let ff1 = harness.topology().seq_cells()[1];
         let wire = harness.netlist().cell(ff1).output();
         let effect = inject(
@@ -951,7 +925,7 @@ mod tests {
         let harness = StimulusHarness::new(n, topo)
             .drive(load, vec![true])
             .drive(din, vec![true]);
-        let golden = golden_run(&harness, 6);
+        let golden = golden_run(&harness, 6).unwrap();
         let ff2 = harness.topology().seq_cells()[2];
         let wire = harness.netlist().cell(ff2).output();
         let effect = inject(
@@ -1043,7 +1017,7 @@ mod tests {
     /// per point, and returns the scalar effects.
     fn assert_engines_match_inject(harness: &StimulusHarness, cycles: usize) -> Vec<FaultEffect> {
         let space = FaultSpace::all_ffs(harness.netlist(), harness.topology(), cycles);
-        let golden = golden_run(harness, cycles + 1);
+        let golden = golden_run(harness, cycles + 1).unwrap();
         let points: Vec<FaultPoint> = space.iter().collect();
         let scalar: Vec<FaultEffect> = points
             .iter()
@@ -1082,7 +1056,7 @@ mod tests {
         let (n, topo) = counter(3);
         let en = n.find_net("en").unwrap();
         let harness = StimulusHarness::new(n, topo).drive(en, vec![true]);
-        let golden = golden_run(&harness, 5);
+        let golden = golden_run(&harness, 5).unwrap();
         let ff = harness.topology().seq_cells()[0];
         let wire = harness.netlist().cell(ff).output();
         let inside = FaultPoint { ff, wire, cycle: 4 };
@@ -1147,7 +1121,7 @@ mod tests {
         let harness = StimulusHarness::new(n, topo)
             .drive(load, vec![true, false])
             .drive(din, vec![true]);
-        let golden = golden_run(&harness, 8);
+        let golden = golden_run(&harness, 8).unwrap();
         let ffs = harness.topology().seq_cells().to_vec();
         let point = |ff_i: usize, cycle: usize| {
             let ff = ffs[ff_i];
@@ -1181,7 +1155,7 @@ mod tests {
         let (n, topo) = counter(3);
         let en = n.find_net("en").unwrap();
         let harness = StimulusHarness::new(n, topo).drive(en, vec![true]);
-        let golden = golden_run(&harness, 5);
+        let golden = golden_run(&harness, 5).unwrap();
         let ff = harness.topology().seq_cells()[0];
         let wire = harness.netlist().cell(ff).output();
         let p = |cycle| FaultPoint { ff, wire, cycle };

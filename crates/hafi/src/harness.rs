@@ -5,7 +5,7 @@
 //! external devices the workload needs, such that every call to
 //! [`DesignHarness::testbench`] yields a *fresh, deterministic* run.
 
-use mate_netlist::{NetId, Netlist, Topology};
+use mate_netlist::{MateError, NetId, Netlist, Topology};
 use mate_sim::{InputWave, Testbench};
 
 /// A deterministic, repeatable execution environment for a netlist.
@@ -17,7 +17,12 @@ pub trait DesignHarness {
     fn topology(&self) -> &Topology;
 
     /// A fresh testbench; each call must produce an identical run.
-    fn testbench(&self) -> Testbench<'_>;
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MateError::Device`] when a device of the workload cannot
+    /// be attached (see [`mate_sim::Device`]).
+    fn testbench(&self) -> Result<Testbench<'_>, MateError>;
 }
 
 /// A harness driving primary inputs from fixed per-cycle vectors (no
@@ -33,8 +38,9 @@ pub trait DesignHarness {
 /// let (n, topo) = counter(3);
 /// let en = n.find_net("en").unwrap();
 /// let harness = StimulusHarness::new(n, topo).drive(en, vec![true]);
-/// let mut tb = harness.testbench();
+/// let mut tb = harness.testbench()?;
 /// tb.run(4);
+/// # Ok::<(), mate_netlist::MateError>(())
 /// ```
 #[derive(Debug)]
 pub struct StimulusHarness {
@@ -75,12 +81,12 @@ impl DesignHarness for StimulusHarness {
         &self.topo
     }
 
-    fn testbench(&self) -> Testbench<'_> {
+    fn testbench(&self) -> Result<Testbench<'_>, MateError> {
         let mut tb = Testbench::new(&self.netlist, &self.topo);
         for (net, values) in &self.stimuli {
             tb.drive(*net, InputWave::from_vec(values.clone()));
         }
-        tb
+        Ok(tb)
     }
 }
 
@@ -94,8 +100,8 @@ mod tests {
         let (n, topo) = counter(4);
         let en = n.find_net("en").unwrap();
         let harness = StimulusHarness::new(n, topo).drive(en, vec![true, false, true]);
-        let t1 = harness.testbench().run(10);
-        let t2 = harness.testbench().run(10);
+        let t1 = harness.testbench().unwrap().run(10);
+        let t2 = harness.testbench().unwrap().run(10);
         assert_eq!(t1, t2);
     }
 

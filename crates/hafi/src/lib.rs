@@ -9,11 +9,13 @@
 //! * [`space`] — the `flip-flops × cycles` fault space and seeded sampling.
 //! * [`campaign`] — golden runs, SEU injection at a chosen `(flip-flop,
 //!   cycle)` point, and outcome classification against the golden trace.
-//!   Designs without devices run 64 points per pass on the wide engines;
-//!   the cores, whose memories are devices, resume checkpointed golden
-//!   runs.  Every injected point is simulated individually; the fault space
-//!   is pruned before the campaign, statically, by MATEs evaluated on the
-//!   golden trace (`mate::eval::evaluate`, the per-cycle cube evaluation a
+//!   Every campaign runs 64 points per pass on the wide engines, which
+//!   replay the primary inputs from the golden trace instead of running the
+//!   workload's devices (exact under the device contract that
+//!   `mate_sim::Testbench::attach` checks).  Every injected point is
+//!   simulated individually; the fault space is pruned before the
+//!   campaign, statically, by MATEs evaluated on the golden trace
+//!   (`mate::eval::evaluate`, the per-cycle cube evaluation a
 //!   MATE-enriched platform runs online).
 //! * [`validate`] — checks that every fault-space point a MATE set prunes is
 //!   indeed masked within one clock cycle (exhaustively or sampled).

@@ -46,7 +46,8 @@ impl ValidationReport {
 /// # Errors
 ///
 /// Returns [`MateError::Campaign`] if `wires` contains nets that are not
-/// flip-flop outputs, or an injection is invalid.
+/// flip-flop outputs or an injection is invalid, and
+/// [`MateError::Device`] if the harness cannot build its testbench.
 pub fn validate_mates(
     harness: &dyn DesignHarness,
     mates: &MateSet,
@@ -57,7 +58,7 @@ pub fn validate_mates(
 ) -> Result<(EvalReport, ValidationReport), MateError> {
     // One extra golden cycle so claims in the final evaluated cycle can be
     // judged against a `t+1` state.
-    let golden = golden_run(harness, cycles + 1);
+    let golden = golden_run(harness, cycles + 1)?;
     let eval_trace = golden.trace.truncated(cycles);
     let report = mate::eval::evaluate(mates, &eval_trace, wires);
 

@@ -1,9 +1,12 @@
 //! The keystone property: every fault-space point the MATE analysis prunes
 //! is provably masked within one clock cycle — checked by *exhaustive* fault
-//! injection on randomly generated synchronous circuits and by sampled
-//! injection on the CPU cores' workloads.
+//! injection on randomly generated synchronous circuits and on 512-cycle
+//! windows of the CPU cores' workloads, and by sampled injection on a
+//! further core workload.
 
 use proptest::prelude::*;
+
+mod common;
 
 use mate::{ff_wires, search_design, SearchConfig};
 use mate_hafi::{validate_mates, DesignHarness, StimulusHarness};
@@ -81,47 +84,15 @@ proptest! {
 
 mod core_soundness {
     use super::*;
+    use mate::ff_wires_filtered;
     use mate_cores::avr::programs as avr_programs;
     use mate_cores::avr::system::AvrSystem;
     use mate_cores::msp430::programs as msp_programs;
     use mate_cores::msp430::system::Msp430System;
     use mate_cores::Termination;
-    use mate_sim::Testbench;
+    use mate_netlist::NetId;
 
-    struct AvrHarness {
-        sys: AvrSystem,
-        program: Vec<u16>,
-        dmem: Vec<u8>,
-    }
-
-    impl DesignHarness for AvrHarness {
-        fn netlist(&self) -> &mate_netlist::Netlist {
-            self.sys.netlist()
-        }
-        fn topology(&self) -> &mate_netlist::Topology {
-            self.sys.topology()
-        }
-        fn testbench(&self) -> Testbench<'_> {
-            self.sys.testbench(&self.program, &self.dmem).0
-        }
-    }
-
-    struct MspHarness {
-        sys: Msp430System,
-        image: Vec<u16>,
-    }
-
-    impl DesignHarness for MspHarness {
-        fn netlist(&self) -> &mate_netlist::Netlist {
-            self.sys.netlist()
-        }
-        fn topology(&self) -> &mate_netlist::Topology {
-            self.sys.topology()
-        }
-        fn testbench(&self) -> Testbench<'_> {
-            self.sys.testbench(&self.image).0
-        }
-    }
+    use crate::common::{AvrHarness, MspHarness};
 
     /// A cheaper search configuration for in-test use; the full paper
     /// parameters run in the benches.
@@ -135,30 +106,44 @@ mod core_soundness {
         }
     }
 
+    /// Injects every point the MATEs claim over a 512-cycle window,
+    /// unsampled, and requires each one masked within one cycle.
+    fn assert_claims_hold_exhaustively(harness: &dyn DesignHarness, wires: &[NetId]) {
+        let mates = search_design(harness.netlist(), harness.topology(), wires, &test_config())
+            .into_mate_set();
+        assert!(!mates.is_empty(), "the core must yield MATEs");
+        let (_, validation) = validate_mates(harness, &mates, wires, 512, None, 0).unwrap();
+        assert!(validation.claimed > 0, "the MATEs must trigger");
+        assert_eq!(validation.checked, validation.claimed, "unsampled");
+        assert!(
+            validation.violations.is_empty(),
+            "violations: {:?}",
+            validation.violations
+        );
+    }
+
     #[test]
-    fn avr_fib_claims_hold_under_sampled_injection() {
+    fn avr_fib_ff_claims_hold_under_exhaustive_injection() {
         let harness = AvrHarness {
             sys: AvrSystem::new(),
             program: avr_programs::fib(Termination::Loop),
             dmem: Vec::new(),
         };
         let wires = ff_wires(harness.netlist(), harness.topology());
-        let mates = search_design(
-            harness.netlist(),
-            harness.topology(),
-            &wires,
-            &test_config(),
-        )
-        .into_mate_set();
-        assert!(!mates.is_empty(), "AVR must yield MATEs");
-        let (report, validation) =
-            validate_mates(&harness, &mates, &wires, 160, Some(120), 1).unwrap();
-        assert!(report.masked_fraction() > 0.0);
-        assert!(
-            validation.sound(),
-            "violations: {:?}",
-            validation.violations
-        );
+        assert_claims_hold_exhaustively(&harness, &wires);
+    }
+
+    #[test]
+    fn msp430_conv_no_rf_claims_hold_under_exhaustive_injection() {
+        let harness = MspHarness {
+            sys: Msp430System::new(),
+            image: msp_programs::conv(Termination::Loop),
+        };
+        // The paper's "FF w/o RF" set: register-file flip-flops are `r<N>…`.
+        let wires = ff_wires_filtered(harness.netlist(), harness.topology(), |name| {
+            !(name.starts_with('r') && name.as_bytes().get(1).is_some_and(u8::is_ascii_digit))
+        });
+        assert_claims_hold_exhaustively(&harness, &wires);
     }
 
     #[test]
@@ -209,7 +194,7 @@ mod extensions {
             let harness = harness_for(seed.wrapping_mul(31).wrapping_add(5), cfg, cycles + 1);
             let netlist = harness.netlist();
             let topo = harness.topology();
-            let golden = golden_run(&harness, cycles + 1);
+            let golden = golden_run(&harness, cycles + 1).unwrap();
             let ffs: Vec<_> = topo
                 .seq_cells()
                 .iter()
@@ -273,7 +258,7 @@ mod extensions {
             let wires = ff_wires(netlist, topo);
             let mates =
                 search_design(netlist, topo, &wires, &SearchConfig::default()).into_mate_set();
-            let golden = golden_run(&harness, cycles + 1);
+            let golden = golden_run(&harness, cycles + 1).unwrap();
             let report = mate::eval::evaluate(&mates, &golden.trace.truncated(cycles), &wires);
             let ff_of: std::collections::HashMap<_, _> = topo
                 .seq_cells()

@@ -1,10 +1,13 @@
-//! The batched campaign engines must be pure performance changes: every
-//! path through [`classify_points`] — the differential and full-settle wide
-//! engines and the checkpointed scalar path — at every thread count, has to
-//! produce classifications bit-identical to one [`inject`] call per fault
-//! point.
+//! The batched campaign engines must be pure performance changes: both
+//! engines behind [`classify_points`] — differential and full-settle — at
+//! every thread count, have to produce classifications bit-identical to one
+//! [`inject`] call per fault point, on random circuits and on both cores
+//! running `fib()` and `conv()`, where the engines replay the memories'
+//! responses from the golden trace and `inject` runs the real memories.
 
 use proptest::prelude::*;
+
+mod common;
 
 use mate_hafi::{
     classify_points, golden_run, inject, run_campaign, run_campaign_wide, CampaignConfig,
@@ -36,7 +39,7 @@ fn harness_for(seed: u64, cfg: RandomCircuitConfig, cycles: usize) -> StimulusHa
 /// engine × 1 and 3 threads of the wide campaign reproduces it record for
 /// record.  Returns the scalar result.
 fn assert_wide_matches_scalar_campaign(
-    harness: &StimulusHarness,
+    harness: &(dyn DesignHarness + Sync),
     base: CampaignConfig,
 ) -> Result<CampaignResult, TestCaseError> {
     let space = FaultSpace::all_ffs(harness.netlist(), harness.topology(), base.cycles);
@@ -74,7 +77,6 @@ fn wide_campaign_matches_scalar_campaign_across_lane_words() {
     };
     let cycles = 8;
     let harness = harness_for(5, cfg, cycles + 1);
-    assert!(harness.testbench().can_run_wide());
     assert!(harness.topology().seq_cells().len() > WORD_LANES);
     let config = CampaignConfig {
         cycles,
@@ -96,10 +98,7 @@ proptest! {
         let cfg = RandomCircuitConfig { inputs: 3, ffs: 7, gates: 24, outputs: 2 };
         let cycles = 14;
         let harness = harness_for(seed, cfg, cycles + 1);
-        // A stimulus-only harness takes the wide path.
-        prop_assert!(harness.testbench().can_run_wide());
-
-        let golden = golden_run(&harness, cycles + 1);
+        let golden = golden_run(&harness, cycles + 1).unwrap();
         let space = FaultSpace::all_ffs(harness.netlist(), harness.topology(), cycles);
         let points: Vec<FaultPoint> = space.iter().collect();
 
@@ -134,9 +133,7 @@ proptest! {
         let cfg = RandomCircuitConfig { inputs: 3, ffs: 8, gates: 28, outputs: 2 };
         let cycles = 12;
         let harness = harness_for(seed.wrapping_add(101), cfg, cycles + 1);
-        prop_assert!(harness.testbench().can_run_wide());
-
-        let golden = golden_run(&harness, cycles + 1);
+        let golden = golden_run(&harness, cycles + 1).unwrap();
         let space = FaultSpace::all_ffs(harness.netlist(), harness.topology(), cycles);
         let points: Vec<FaultPoint> = space.iter().collect();
         let scalar: Vec<_> = points
@@ -181,86 +178,80 @@ proptest! {
 
 }
 
-mod checkpoint_path {
+/// The cores' memories are devices.  The wide engines replay their
+/// responses from the golden trace while `run_campaign` injects through the
+/// real memories, so equal records test the replay argument itself.
+mod device_replay {
     use super::*;
+    use std::collections::HashSet;
+    use std::mem::discriminant;
+
     use mate_cores::avr::programs as avr_programs;
     use mate_cores::avr::system::AvrSystem;
     use mate_cores::msp430::programs as msp_programs;
     use mate_cores::msp430::system::Msp430System;
     use mate_cores::Termination;
-    use mate_sim::Testbench;
 
-    struct AvrHarness {
-        sys: AvrSystem,
-        program: Vec<u16>,
-        dmem: Vec<u8>,
-    }
+    use crate::common::{AvrHarness, MspHarness};
 
-    impl DesignHarness for AvrHarness {
-        fn netlist(&self) -> &mate_netlist::Netlist {
-            self.sys.netlist()
-        }
-        fn topology(&self) -> &mate_netlist::Topology {
-            self.sys.topology()
-        }
-        fn testbench(&self) -> Testbench<'_> {
-            self.sys.testbench(&self.program, &self.dmem).0
-        }
-    }
-
-    struct MspHarness {
-        sys: Msp430System,
-        image: Vec<u16>,
-    }
-
-    impl DesignHarness for MspHarness {
-        fn netlist(&self) -> &mate_netlist::Netlist {
-            self.sys.netlist()
-        }
-        fn topology(&self) -> &mate_netlist::Topology {
-            self.sys.topology()
-        }
-        fn testbench(&self) -> Testbench<'_> {
-            self.sys.testbench(&self.image).0
-        }
-    }
-
-    fn assert_checkpoint_matches_scalar(harness: &dyn DesignHarness, cycles: usize, sample: usize) {
-        // The cores carry external memory devices, so the wide path is out
-        // and the checkpoint engine classifies.
-        assert!(!harness.testbench().can_run_wide(), "cores have devices");
-
-        let golden = golden_run(harness, cycles + 1);
-        let space = FaultSpace::all_ffs(harness.netlist(), harness.topology(), cycles);
-        let points = space.sample(sample, 42);
-        let batched =
-            classify_points(harness, &golden, &points, CampaignEngine::default()).unwrap();
-        for (&point, checkpointed) in points.iter().zip(&batched) {
-            let scalar = inject(harness, &golden, point).unwrap();
-            assert_eq!(
-                *checkpointed, scalar,
-                "ff {:?} cycle {}",
-                point.ff, point.cycle
+    /// Compares both engines at 1 and 3 threads with scalar injection on a
+    /// sample over a 64-cycle window and one over a 256-cycle window (where
+    /// latent and late-recovering lanes run long); each sample must cover
+    /// at least three effect classes.
+    fn assert_replay_matches_inject(harness: &(dyn DesignHarness + Sync)) {
+        for (cycles, sample) in [(64, 96), (256, 64)] {
+            let config = CampaignConfig {
+                cycles,
+                sample: Some(sample),
+                seed: 42,
+                ..CampaignConfig::default()
+            };
+            let scalar = assert_wide_matches_scalar_campaign(harness, config).unwrap();
+            let classes: HashSet<_> = scalar
+                .records
+                .iter()
+                .map(|(_, e)| discriminant(e))
+                .collect();
+            assert!(
+                classes.len() >= 3,
+                "{cycles} cycles: {:?}",
+                scalar.histogram()
             );
         }
     }
 
     #[test]
-    fn avr_checkpoint_classifications_match_scalar_inject() {
-        let harness = AvrHarness {
+    fn avr_fib_replay_matches_inject() {
+        assert_replay_matches_inject(&AvrHarness {
             sys: AvrSystem::new(),
             program: avr_programs::fib(Termination::Loop),
             dmem: Vec::new(),
-        };
-        assert_checkpoint_matches_scalar(&harness, 80, 48);
+        });
     }
 
     #[test]
-    fn msp430_checkpoint_classifications_match_scalar_inject() {
-        let harness = MspHarness {
+    fn avr_conv_replay_matches_inject() {
+        let (program, dmem) = avr_programs::conv(Termination::Loop);
+        assert_replay_matches_inject(&AvrHarness {
+            sys: AvrSystem::new(),
+            program,
+            dmem,
+        });
+    }
+
+    #[test]
+    fn msp430_fib_replay_matches_inject() {
+        assert_replay_matches_inject(&MspHarness {
             sys: Msp430System::new(),
             image: msp_programs::fib(Termination::Loop),
-        };
-        assert_checkpoint_matches_scalar(&harness, 80, 48);
+        });
+    }
+
+    #[test]
+    fn msp430_conv_replay_matches_inject() {
+        assert_replay_matches_inject(&MspHarness {
+            sys: Msp430System::new(),
+            image: msp_programs::conv(Termination::Loop),
+        });
     }
 }

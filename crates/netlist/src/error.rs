@@ -14,6 +14,7 @@
 //! | netlist  | [`MateError::Verilog`], [`MateError::Semantic`], [`MateError::Netlist`] |
 //! | frontend | [`MateError::Json`], [`MateError::Ingest`] |
 //! | formats  | [`MateError::MateFormat`], [`MateError::Vcd`], [`MateError::UnknownNet`] |
+//! | simulation | [`MateError::Device`] |
 //! | campaign | [`MateError::Campaign`] |
 //! | pipeline | [`MateError::Artifact`] |
 
@@ -94,6 +95,18 @@ pub enum MateError {
         line: usize,
         /// The offending name.
         name: String,
+    },
+    /// A testbench device that cannot be attached: it reads a net that is
+    /// not a primary output, drives a net that is not a primary input,
+    /// drives an input that reaches a read net through combinational logic,
+    /// or was given a memory image that does not fit.
+    Device {
+        /// The device's name.
+        device: String,
+        /// The net at fault, when the problem is net-specific.
+        net: Option<String>,
+        /// Description.
+        message: String,
     },
     /// An invalid fault-injection campaign request (e.g. an injection cycle
     /// beyond the golden trace, or a faulty wire that is not a flip-flop
@@ -199,6 +212,14 @@ impl fmt::Display for MateError {
                     write!(f, "line {line}: unknown net `{name}`")
                 }
             }
+            Self::Device {
+                device,
+                net,
+                message,
+            } => match net {
+                Some(net) => write!(f, "device `{device}` (net `{net}`): {message}"),
+                None => write!(f, "device `{device}`: {message}"),
+            },
             Self::Campaign(msg) => write!(f, "campaign: {msg}"),
             Self::Artifact { stage, message } => write!(f, "stage `{stage}`: {message}"),
         }
@@ -275,6 +296,22 @@ mod tests {
                     name: "bogus".into(),
                 },
                 "bogus",
+            ),
+            (
+                MateError::Device {
+                    device: "ram".into(),
+                    net: Some("addr[0]".into()),
+                    message: "not a primary output".into(),
+                },
+                "addr[0]",
+            ),
+            (
+                MateError::Device {
+                    device: "rom".into(),
+                    net: None,
+                    message: "image overflows memory".into(),
+                },
+                "rom",
             ),
             (MateError::campaign("cycle beyond trace"), "cycle"),
             (

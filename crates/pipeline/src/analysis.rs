@@ -21,7 +21,7 @@ use mate_netlist::{MateError, NetId};
 
 use crate::hash::ContentHasher;
 use crate::stage::Stage;
-use crate::stages::Design;
+use crate::stages::{artifact_utf8, bad_line, parse_field, Design};
 
 /// Combined output of the lint, verification, and coverage layers.
 #[derive(Clone, Debug, PartialEq)]
@@ -506,18 +506,4 @@ fn decode_stats(stage: &str, idx: usize, text: &str) -> Result<SolveStats, MateE
         return Err(bad_line(stage, idx));
     }
     Ok(stats)
-}
-
-fn artifact_utf8<'b>(stage: &str, bytes: &'b [u8]) -> Result<&'b str, MateError> {
-    std::str::from_utf8(bytes)
-        .map_err(|e| MateError::artifact(stage, format!("non-UTF-8 artifact: {e}")))
-}
-
-fn bad_line(stage: &str, idx: usize) -> MateError {
-    MateError::artifact(stage, format!("line {}: malformed", idx + 1))
-}
-
-fn parse_field<T: std::str::FromStr>(stage: &str, idx: usize, text: &str) -> Result<T, MateError> {
-    text.parse()
-        .map_err(|_| MateError::artifact(stage, format!("line {}: bad number `{text}`", idx + 1)))
 }

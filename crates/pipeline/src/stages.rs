@@ -644,7 +644,7 @@ impl Stage<&Design> for TraceCapture {
     }
 
     fn execute(&self, input: &&Design) -> Result<WaveTrace, MateError> {
-        Ok(self.source.harness(input)?.testbench().run(self.cycles))
+        Ok(self.source.harness(input)?.testbench()?.run(self.cycles))
     }
 
     fn encode(&self, input: &&Design, output: &WaveTrace) -> Result<Vec<u8>, MateError> {
@@ -1056,16 +1056,23 @@ fn read_counted_mates(
     Ok(mates)
 }
 
-fn artifact_utf8<'b>(stage: &str, bytes: &'b [u8]) -> Result<&'b str, MateError> {
+/// Borrows a text artifact as UTF-8.
+pub(crate) fn artifact_utf8<'b>(stage: &str, bytes: &'b [u8]) -> Result<&'b str, MateError> {
     std::str::from_utf8(bytes)
         .map_err(|e| MateError::artifact(stage, format!("non-UTF-8 artifact: {e}")))
 }
 
-fn bad_line(stage: &str, idx: usize) -> MateError {
+/// The error for malformed line `idx` (0-based) of a text artifact.
+pub(crate) fn bad_line(stage: &str, idx: usize) -> MateError {
     MateError::artifact(stage, format!("line {}: malformed", idx + 1))
 }
 
-fn parse_field<T: std::str::FromStr>(stage: &str, idx: usize, text: &str) -> Result<T, MateError> {
+/// Parses one numeric field of line `idx` (0-based) of a text artifact.
+pub(crate) fn parse_field<T: std::str::FromStr>(
+    stage: &str,
+    idx: usize,
+    text: &str,
+) -> Result<T, MateError> {
     text.parse()
         .map_err(|_| MateError::artifact(stage, format!("line {}: bad number `{text}`", idx + 1)))
 }

@@ -5,6 +5,9 @@
 use std::path::PathBuf;
 
 use mate::{ff_wires, search_design, SearchConfig};
+use mate_cores::avr::system::{DMEM_SIZE, IMEM_SIZE};
+use mate_cores::msp430::model::MEM_WORDS;
+use mate_cores::{AvrSystem, Msp430System};
 use mate_hafi::CampaignConfig;
 use mate_netlist::examples::{figure1b, tmr_register};
 use mate_netlist::verilog::to_verilog;
@@ -399,4 +402,58 @@ fn bad_stimuli_are_errors_not_panics() {
     assert!(flow
         .campaign(internal(), CampaignConfig::default(), None)
         .is_err());
+}
+
+fn build_avr() -> (mate_netlist::Netlist, mate_netlist::Topology) {
+    let sys = AvrSystem::new();
+    (sys.netlist().clone(), sys.topology().clone())
+}
+
+fn build_msp430() -> (mate_netlist::Netlist, mate_netlist::Topology) {
+    let sys = Msp430System::new();
+    (sys.netlist().clone(), sys.topology().clone())
+}
+
+/// A core memory image larger than its memory is a typed device error from
+/// both stages that run the core, not a panic.
+#[test]
+fn oversized_core_images_are_errors_not_panics() {
+    let scratch = Scratch::new("oversized-images");
+    let is_device_error = |result: Result<(), MateError>, device: &str| matches!(result, Err(MateError::Device { device: d, net: None, .. }) if d == device);
+    let avr = DesignSource::Builder {
+        label: "avr-core",
+        build: build_avr,
+    };
+    let mut flow = Flow::new(scratch.store(), avr).unwrap();
+    let program = || TraceSource::Avr {
+        program: vec![0; IMEM_SIZE + 1],
+        dmem: Vec::new(),
+    };
+    assert!(is_device_error(
+        flow.capture(program(), 8).map(drop),
+        "avr-imem"
+    ));
+    assert!(is_device_error(
+        flow.campaign(program(), CampaignConfig::default(), None)
+            .map(drop),
+        "avr-imem"
+    ));
+    let data = TraceSource::Avr {
+        program: vec![0; IMEM_SIZE],
+        dmem: vec![0; DMEM_SIZE + 1],
+    };
+    assert!(is_device_error(flow.capture(data, 8).map(drop), "avr-dmem"));
+
+    let msp430 = DesignSource::Builder {
+        label: "msp430-core",
+        build: build_msp430,
+    };
+    let mut flow = Flow::new(scratch.store(), msp430).unwrap();
+    let image = TraceSource::Msp430 {
+        image: vec![0; MEM_WORDS + 1],
+    };
+    assert!(is_device_error(
+        flow.capture(image, 8).map(drop),
+        "msp430-mem"
+    ));
 }

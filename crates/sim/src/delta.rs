@@ -525,7 +525,6 @@ mod tests {
     fn flip_matches_wide_simulator_per_cycle() {
         let (n, topo, trace) = golden_counter(4, 10);
         let golden = TransposedTrace::from_trace(&trace);
-        let en = n.find_net("en").unwrap();
         for (inject, ff_i, lane) in [(1, 0, 0), (3, 2, WORD_LANES - 1), (5, 3, WORD_LANES / 2)] {
             let ff = topo.seq_cells()[ff_i];
             let mut wide = WideSimulator::new(&n, &topo);
@@ -534,8 +533,8 @@ mod tests {
             let mut delta = DeltaSimulator::new(&n, &topo);
             delta.begin(inject);
             delta.flip_ff(ff, lane);
-            for _ in inject..9 {
-                wide.set_input(en, true);
+            for t in inject..9 {
+                wide.load_inputs_from_trace(&trace, t);
                 wide.settle();
                 delta.settle(&golden);
                 assert_matches_block(&delta, &mut wide, &golden);

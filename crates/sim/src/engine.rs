@@ -2,26 +2,6 @@
 
 use mate_netlist::prelude::*;
 
-/// A full checkpoint of simulator state: the complete net-value bitmap plus
-/// the cycle counter.
-///
-/// A checkpoint restores the simulator *exactly* — including primary-input
-/// levels and the settled flag — so a fault-injection campaign can resume at
-/// the injection cycle without replaying the warm-up prefix.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SimCheckpoint {
-    values: BitSet,
-    settled: bool,
-    cycle: u64,
-}
-
-impl SimCheckpoint {
-    /// The cycle counter at capture time.
-    pub fn cycle(&self) -> u64 {
-        self.cycle
-    }
-}
-
 /// A cycle-based simulator for a validated netlist.
 ///
 /// The lifecycle per clock cycle is:
@@ -201,33 +181,6 @@ impl<'n> Simulator<'n> {
             self.set_input(net, value & (1 << i) != 0);
         }
     }
-
-    /// Captures the complete simulator state (every net value, the settled
-    /// flag, and the cycle counter).
-    pub fn checkpoint(&self) -> SimCheckpoint {
-        SimCheckpoint {
-            values: self.values.clone(),
-            settled: self.settled,
-            cycle: self.cycle,
-        }
-    }
-
-    /// Restores a checkpoint captured by [`Simulator::checkpoint`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the checkpoint was taken from a netlist with a different
-    /// net count.
-    pub fn restore_checkpoint(&mut self, checkpoint: &SimCheckpoint) {
-        assert_eq!(
-            checkpoint.values.capacity(),
-            self.values.capacity(),
-            "checkpoint incompatible with this netlist"
-        );
-        self.values.clone_from(&checkpoint.values);
-        self.settled = checkpoint.settled;
-        self.cycle = checkpoint.cycle;
-    }
 }
 
 #[cfg(test)]
@@ -331,37 +284,6 @@ mod tests {
         let (n, topo) = counter(2);
         let mut sim = Simulator::new(&n, &topo);
         sim.set_input(n.find_net("q0").unwrap(), true);
-    }
-
-    #[test]
-    fn checkpoint_restores_exact_state() {
-        let (n, topo) = counter(5);
-        let mut sim = Simulator::new(&n, &topo);
-        let en = n.find_net("en").unwrap();
-        sim.set_input(en, true);
-        for _ in 0..9 {
-            sim.tick();
-        }
-        let cp = sim.checkpoint();
-        assert_eq!(cp.cycle(), 9);
-        // Diverge: different input level and more cycles.
-        sim.set_input(en, false);
-        for _ in 0..6 {
-            sim.tick();
-        }
-        sim.restore_checkpoint(&cp);
-        assert_eq!(sim.cycle(), 9);
-        // The restored run must continue exactly like the original would
-        // have, including the restored input level (en=1 keeps counting).
-        for _ in 0..3 {
-            sim.tick();
-        }
-        let mut value = 0usize;
-        for i in 0..5 {
-            let q = n.find_net(&format!("q{i}")).unwrap();
-            value |= (sim.value(q) as usize) << i;
-        }
-        assert_eq!(value, 12);
     }
 
     #[test]

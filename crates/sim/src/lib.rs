@@ -12,8 +12,11 @@
 //!   in-memory analogue of a VCD file.
 //! * [`vcd`] — VCD writer and reader, round-trip compatible.
 //! * [`testbench`] — drives a netlist with per-cycle input waves and
-//!   snapshotable external devices (instruction/data memories), records
-//!   traces, and checkpoints a run so campaigns can resume it mid-trace.
+//!   external devices (instruction/data memories) and records traces.  A
+//!   device declares the buses it reads and drives, and attaching it checks
+//!   that it reads only primary outputs, drives only primary inputs, and
+//!   never reads what it drives within a cycle — the contract that lets
+//!   campaigns replay every input from the golden trace.
 //! * [`wide`] — a 64-lane bit-parallel engine over the compile-once
 //!   [`mate_netlist::SoaNetlist`] arena: one `u64` word per net carries 64
 //!   independent fault scenarios, the substrate of batched campaigns.
@@ -54,9 +57,9 @@ pub mod vcd;
 pub mod wide;
 
 pub use delta::DeltaSimulator;
-pub use engine::{SimCheckpoint, Simulator};
+pub use engine::Simulator;
 pub use mate_netlist::MateError;
-pub use testbench::{InputWave, SnapshotDevice, Testbench, TestbenchCheckpoint};
+pub use testbench::{Device, DevicePort, InputWave, Testbench};
 pub use trace::WaveTrace;
 pub use transposed::{CycleView, TransposedTrace};
 pub use vcd::{read_vcd, write_vcd};

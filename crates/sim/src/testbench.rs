@@ -2,13 +2,11 @@
 
 use mate_netlist::prelude::*;
 
-use crate::engine::{SimCheckpoint, Simulator};
+use crate::engine::Simulator;
 use crate::trace::WaveTrace;
-use crate::wide::WideSimulator;
 
-/// A per-cycle stimulus for one primary input: a pure function of the cycle
-/// number, so campaigns may sample it at any cycle (out of order,
-/// repeatedly) when they seed runs from checkpoints or the golden trace.
+/// A per-cycle stimulus for one primary input: a function of the cycle
+/// number.
 pub struct InputWave {
     wave: Box<dyn Fn(u64) -> bool>,
 }
@@ -52,53 +50,61 @@ impl std::fmt::Debug for InputWave {
 }
 
 /// A reactive external device (memory, peripheral) hooked into the cycle
-/// loop, whose external state (memory contents, peripheral registers) can be
-/// captured and restored.
+/// loop.
 ///
-/// [`SnapshotDevice::on_cycle`] runs after the first combinational settle of
-/// each cycle: it may read settled outputs (e.g. an address bus) and drive
-/// primary inputs (e.g. a read-data bus).  The harness settles again before
-/// capturing the trace and latching, so device responses behave like
-/// asynchronous-read memories.
+/// A device declares the buses it reads and drives (each a list of nets,
+/// LSB first), and [`Testbench::attach`] checks the **device contract** on
+/// them: every read net is a primary output, every driven net is a primary
+/// input, and no read net of any attached device is reachable from a
+/// driven input through combinational logic.  The contract lets campaigns
+/// replay every primary input from the golden trace: a faulty run whose
+/// outputs still match golden has shown its devices only golden values, so
+/// the inputs they drive are golden too.
 ///
-/// **Contract:** nets driven by a device must not combinationally influence
-/// the outputs the device reads, otherwise a second settle round would be
-/// required; CPU-style cores (address from registers, data into registers)
-/// satisfy this naturally.
-///
-/// Campaigns checkpoint a golden run at each injection cycle
-/// ([`Testbench::checkpoint`]) and seed faulty runs from there instead of
-/// replaying the warm-up prefix.
-pub trait SnapshotDevice<'n> {
+/// [`Device::on_cycle`] runs after the first combinational settle of each
+/// cycle; the harness settles again before capturing the trace and
+/// latching, so device responses behave like asynchronous-read memories.
+pub trait Device {
+    /// A short name for error messages.
+    fn name(&self) -> &str;
+
+    /// The buses [`Device::on_cycle`] reads, addressed there by position.
+    fn reads(&self) -> Vec<Vec<NetId>>;
+
+    /// The buses [`Device::on_cycle`] drives, addressed there by position.
+    fn drives(&self) -> Vec<Vec<NetId>>;
+
     /// Runs the device for the current cycle: read settled outputs, drive
     /// primary inputs.
-    fn on_cycle(&mut self, sim: &mut Simulator<'n>);
-
-    /// Serializes every piece of state mutated by [`Self::on_cycle`].
-    /// Read-only devices (ROMs) return an empty vector.
-    fn state(&self) -> Vec<u64>;
-
-    /// Restores state previously captured by [`Self::state`].
-    ///
-    /// # Panics
-    ///
-    /// Implementations panic when `state` has the wrong shape.
-    fn load_state(&mut self, state: &[u64]);
+    fn on_cycle(&mut self, port: &mut DevicePort<'_, '_>);
 }
 
-/// A full checkpoint of a testbench: simulator state plus the state of every
-/// device.  Captured by [`Testbench::checkpoint`].
-#[derive(Clone, Debug)]
-pub struct TestbenchCheckpoint {
-    sim: SimCheckpoint,
-    devices: Vec<Vec<u64>>,
+/// A device's view of the simulator during [`Device::on_cycle`]: it names
+/// buses by their position in the device's own declarations, so it can
+/// reach no other net.
+pub struct DevicePort<'a, 'n> {
+    sim: &'a mut Simulator<'n>,
+    reads: &'a [Vec<NetId>],
+    drives: &'a [Vec<NetId>],
 }
 
-impl TestbenchCheckpoint {
-    /// The cycle counter at capture time.
-    pub fn cycle(&self) -> u64 {
-        self.sim.cycle()
+impl DevicePort<'_, '_> {
+    /// The settled value of declared read bus number `bus`, as an integer.
+    pub fn read(&mut self, bus: usize) -> u64 {
+        self.sim.read_bus(&self.reads[bus])
     }
+
+    /// Drives declared bus number `bus` from an integer.
+    pub fn write(&mut self, bus: usize, value: u64) {
+        self.sim.write_bus(&self.drives[bus], value);
+    }
+}
+
+/// A device with the buses it declared when it was attached.
+struct Attached<'n> {
+    device: Box<dyn Device + 'n>,
+    reads: Vec<Vec<NetId>>,
+    drives: Vec<Vec<NetId>>,
 }
 
 /// Drives a netlist cycle by cycle and records a [`WaveTrace`].
@@ -118,7 +124,7 @@ impl TestbenchCheckpoint {
 pub struct Testbench<'n> {
     sim: Simulator<'n>,
     stimuli: Vec<(NetId, InputWave)>,
-    devices: Vec<Box<dyn SnapshotDevice<'n> + 'n>>,
+    devices: Vec<Attached<'n>>,
 }
 
 impl<'n> Testbench<'n> {
@@ -141,60 +147,74 @@ impl<'n> Testbench<'n> {
         self
     }
 
-    /// Attaches a reactive device.
-    pub fn attach_snapshot(&mut self, device: Box<dyn SnapshotDevice<'n> + 'n>) -> &mut Self {
-        self.devices.push(device);
-        self
-    }
-
-    /// `true` when the run can be re-created lane-parallel in a
-    /// [`WideSimulator`]: no external devices.
-    pub fn can_run_wide(&self) -> bool {
-        self.devices.is_empty()
-    }
-
-    /// Captures a checkpoint of the simulator and all device state.
-    pub fn checkpoint(&self) -> TestbenchCheckpoint {
-        TestbenchCheckpoint {
-            sim: self.sim.checkpoint(),
-            devices: self.devices.iter().map(|d| d.state()).collect(),
-        }
-    }
-
-    /// Restores a checkpoint captured by [`Testbench::checkpoint`] (possibly
-    /// on a different testbench instance of the same design).
+    /// Attaches a reactive device after checking the device contract (see
+    /// [`Device`]) against its declared buses.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the device count differs or the simulator is incompatible.
-    pub fn restore(&mut self, checkpoint: &TestbenchCheckpoint) {
-        assert_eq!(
-            checkpoint.devices.len(),
-            self.devices.len(),
-            "checkpoint has a different device count"
-        );
-        self.sim.restore_checkpoint(&checkpoint.sim);
-        for (device, state) in self.devices.iter_mut().zip(&checkpoint.devices) {
-            device.load_state(state);
+    /// Returns [`MateError::Device`], naming the device and the net, if a
+    /// read net is not a primary output, a driven net is not a primary
+    /// input, a bus is wider than 64 bits, or a read net of any attached
+    /// device is reachable from a driven input through combinational logic.
+    pub fn attach(&mut self, device: Box<dyn Device + 'n>) -> Result<&mut Self, MateError> {
+        let netlist = self.sim.netlist();
+        let topo = self.sim.topology();
+        let reads = device.reads();
+        let drives = device.drives();
+        let reject = |net: Option<NetId>, message: &str| MateError::Device {
+            device: device.name().to_owned(),
+            net: net.map(|net| netlist.net(net).name().to_owned()),
+            message: message.to_owned(),
+        };
+        if reads.iter().chain(&drives).any(|bus| bus.len() > 64) {
+            return Err(reject(None, "bus wider than 64 bits"));
         }
-    }
-
-    /// Broadcasts this testbench's stimuli for `cycle` to all 64 lanes of a
-    /// wide simulator.
-    pub fn apply_stimuli_wide(&self, wide: &mut WideSimulator<'n>, cycle: u64) {
-        for (net, wave) in &self.stimuli {
-            wide.set_input(*net, wave.sample(cycle));
+        if let Some(&net) = reads
+            .iter()
+            .flatten()
+            .find(|n| !netlist.outputs().contains(n))
+        {
+            return Err(reject(Some(net), "read net is not a primary output"));
         }
+        let not_input = |n: &&NetId| netlist.net(**n).driver() != NetDriver::Input;
+        if let Some(&net) = drives.iter().flatten().find(not_input) {
+            return Err(reject(Some(net), "driven net is not a primary input"));
+        }
+        // One forward walk from every driven input, stopping at
+        // flip-flops, marks what the drives reach within a cycle.
+        let declared: Vec<_> = self
+            .devices
+            .iter()
+            .map(|a| (&a.reads, &a.drives))
+            .chain([(&reads, &drives)])
+            .collect();
+        let mut reached = BitSet::new(netlist.num_nets());
+        let mut stack: Vec<NetId> = declared.iter().flat_map(|d| d.1.concat()).collect();
+        while let Some(net) = stack.pop() {
+            if reached.insert(net.index()) {
+                let readers = topo.fanout(net).iter().map(|&(cell, _)| cell);
+                let comb = readers.filter(|&cell| !netlist.is_seq_cell(cell));
+                stack.extend(comb.map(|cell| netlist.cell(cell).output()));
+            }
+        }
+        let mut read_nets = declared.iter().flat_map(|d| d.0.concat());
+        if let Some(net) = read_nets.find(|n| reached.contains(n.index())) {
+            return Err(reject(
+                Some(net),
+                "read net is reachable from a driven input through combinational logic",
+            ));
+        }
+        self.devices.push(Attached {
+            device,
+            reads,
+            drives,
+        });
+        Ok(self)
     }
 
     /// Access to the underlying simulator (e.g. for fault injection).
     pub fn sim_mut(&mut self) -> &mut Simulator<'n> {
         &mut self.sim
-    }
-
-    /// The underlying simulator.
-    pub fn sim(&self) -> &Simulator<'n> {
-        &self.sim
     }
 
     /// Runs one cycle: stimuli → settle → devices → settle → latch.
@@ -212,8 +232,12 @@ impl<'n> Testbench<'n> {
             self.sim.set_input(*net, wave.sample(cycle));
         }
         self.sim.settle();
-        for device in &mut self.devices {
-            device.on_cycle(&mut self.sim);
+        for attached in &mut self.devices {
+            attached.device.on_cycle(&mut DevicePort {
+                sim: &mut self.sim,
+                reads: &attached.reads,
+                drives: &attached.drives,
+            });
         }
         self.sim.settle();
         observe(&mut self.sim);
@@ -245,7 +269,7 @@ impl std::fmt::Debug for Testbench<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mate_netlist::examples::counter;
+    use mate_netlist::examples::{counter, figure1};
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -301,21 +325,25 @@ mod tests {
         log: Rc<RefCell<Vec<bool>>>,
     }
 
-    impl<'n> SnapshotDevice<'n> for Freeze {
-        fn on_cycle(&mut self, sim: &mut Simulator<'n>) {
-            let v = sim.value(self.q0);
+    impl Device for Freeze {
+        fn name(&self) -> &'static str {
+            "freeze"
+        }
+
+        fn reads(&self) -> Vec<Vec<NetId>> {
+            vec![vec![self.q0]]
+        }
+
+        fn drives(&self) -> Vec<Vec<NetId>> {
+            vec![vec![self.en]]
+        }
+
+        fn on_cycle(&mut self, port: &mut DevicePort<'_, '_>) {
+            let v = port.read(0) != 0;
             self.log.borrow_mut().push(v);
             if v {
-                sim.set_input(self.en, false);
+                port.write(0, 0);
             }
-        }
-
-        fn state(&self) -> Vec<u64> {
-            Vec::new()
-        }
-
-        fn load_state(&mut self, state: &[u64]) {
-            assert!(state.is_empty());
         }
     }
 
@@ -329,11 +357,12 @@ mod tests {
         let mut tb = Testbench::new(&n, &topo);
         tb.drive(en, InputWave::constant(true));
         let log: Rc<RefCell<Vec<bool>>> = Rc::new(RefCell::new(Vec::new()));
-        tb.attach_snapshot(Box::new(Freeze {
+        tb.attach(Box::new(Freeze {
             en,
             q0,
             log: log.clone(),
-        }));
+        }))
+        .unwrap();
         tb.run(6);
         // Counter increments in cycle 0 (q0 becomes 1 in cycle 1), then the
         // device freezes it; q0 stays 1 forever after.
@@ -341,6 +370,86 @@ mod tests {
             log.borrow().as_slice(),
             &[false, true, true, true, true, true]
         );
+    }
+
+    /// A device that only declares buses.
+    struct Declares {
+        name: &'static str,
+        reads: Vec<NetId>,
+        drives: Vec<NetId>,
+    }
+
+    impl Device for Declares {
+        fn name(&self) -> &str {
+            self.name
+        }
+
+        fn reads(&self) -> Vec<Vec<NetId>> {
+            vec![self.reads.clone()]
+        }
+
+        fn drives(&self) -> Vec<Vec<NetId>> {
+            vec![self.drives.clone()]
+        }
+
+        fn on_cycle(&mut self, _: &mut DevicePort<'_, '_>) {}
+    }
+
+    /// Attaches a [`Declares`] device by net names and returns the
+    /// `(device, net)` an error names.
+    fn attach_error(
+        tb: &mut Testbench<'_>,
+        name: &'static str,
+        reads: &[&str],
+        drives: &[&str],
+    ) -> Option<(String, Option<String>)> {
+        let n = tb.sim_mut().netlist();
+        let nets = |names: &[&str]| names.iter().map(|s| n.find_net(s).unwrap()).collect();
+        let device = Declares {
+            name,
+            reads: nets(reads),
+            drives: nets(drives),
+        };
+        match tb.attach(Box::new(device)) {
+            Ok(_) => None,
+            Err(MateError::Device { device, net, .. }) => Some((device, net)),
+            Err(other) => panic!("untyped attach error: {other}"),
+        }
+    }
+
+    #[test]
+    fn attach_rejects_reads_of_non_outputs() {
+        // `d0` is the counter's internal next-state net, not an output.
+        let (n, topo) = counter(3);
+        let mut tb = Testbench::new(&n, &topo);
+        assert_eq!(
+            attach_error(&mut tb, "snoop", &["d0"], &["en"]),
+            Some(("snoop".into(), Some("d0".into())))
+        );
+        assert_eq!(
+            attach_error(&mut tb, "forcer", &["q0"], &["q1"]),
+            Some(("forcer".into(), Some("q1".into())))
+        );
+        assert_eq!(attach_error(&mut tb, "ok", &["q0", "q1"], &["en"]), None);
+    }
+
+    #[test]
+    fn attach_rejects_combinational_paths_from_drives_to_reads() {
+        // figure1: the output `k` = g & NAND(a, b) depends on `a` within
+        // the cycle, while `h` does not.
+        let (n, topo) = figure1();
+        let mut tb = Testbench::new(&n, &topo);
+        assert_eq!(
+            attach_error(&mut tb, "loop", &["k"], &["a"]),
+            Some(("loop".into(), Some("k".into())))
+        );
+        assert_eq!(attach_error(&mut tb, "reader", &["h"], &[]), None);
+        // A later device's drive may not reach an earlier device's read.
+        assert_eq!(
+            attach_error(&mut tb, "writer", &[], &["e"]),
+            Some(("writer".into(), Some("h".into())))
+        );
+        assert_eq!(attach_error(&mut tb, "writer", &[], &["a"]), None);
     }
 
     #[test]

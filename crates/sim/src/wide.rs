@@ -22,19 +22,17 @@ use crate::trace::WaveTrace;
 
 /// A 64-lane bit-parallel simulator for a validated netlist.
 ///
-/// Lanes share primary-input values (campaign stimuli are common to all
-/// scenarios); they diverge only through [`WideSimulator::flip_ff`] and
+/// Lanes share primary-input values (a campaign replays the golden inputs
+/// in every lane); they diverge only through [`WideSimulator::flip_ff`] and
 /// the propagation that follows.
 #[derive(Clone, Debug)]
 pub struct WideSimulator<'n> {
     netlist: &'n Netlist,
-    topo: &'n Topology,
     /// The flattened evaluation schedule.
     soa: SoaNetlist,
     /// One packed word per net; lane `l` is the net's value in scenario `l`.
     values: Vec<u64>,
     settled: bool,
-    cycle: u64,
     /// Reusable input-pin buffer for the settle loop.
     row_buf: [u64; TruthTable::MAX_INPUTS],
     /// Reusable latch buffer for the tick loop.
@@ -47,38 +45,15 @@ impl<'n> WideSimulator<'n> {
     pub fn new(netlist: &'n Netlist, topo: &'n Topology) -> Self {
         Self {
             netlist,
-            topo,
             values: vec![0; netlist.num_nets()],
             soa: SoaNetlist::build(netlist, topo),
             settled: false,
-            cycle: 0,
             row_buf: [0; TruthTable::MAX_INPUTS],
             latch_scratch: Vec::with_capacity(topo.seq_cells().len()),
         }
     }
 
-    /// The netlist under simulation.
-    pub fn netlist(&self) -> &'n Netlist {
-        self.netlist
-    }
-
-    /// The topology of the netlist under simulation.
-    pub fn topology(&self) -> &'n Topology {
-        self.topo
-    }
-
-    /// The SoA arena the settle loop streams.
-    pub fn arena(&self) -> &SoaNetlist {
-        &self.soa
-    }
-
-    /// The current cycle number.
-    pub fn cycle(&self) -> u64 {
-        self.cycle
-    }
-
-    /// Seeds every lane with the settled values of `trace` at `cycle` and
-    /// sets the cycle counter accordingly.
+    /// Seeds every lane with the settled values of `trace` at `cycle`.
     ///
     /// Because flip-flop outputs do not change during a combinational
     /// settle, the settled values of cycle `c` carry exactly the flip-flop
@@ -102,25 +77,29 @@ impl<'n> WideSimulator<'n> {
             *value = bit.wrapping_neg();
         }
         self.settled = true;
-        self.cycle = cycle as u64;
     }
 
-    /// Drives a primary input to the same level in all lanes.
+    /// Drives every primary input, in all lanes, to its settled value in
+    /// `trace` at `cycle` — a campaign replaying the golden inputs.
     ///
     /// # Panics
     ///
-    /// Panics if `net` is not a primary input.
-    pub fn set_input(&mut self, net: NetId, value: bool) {
+    /// Panics if the trace has a different net count or `cycle` is out of
+    /// range.
+    pub fn load_inputs_from_trace(&mut self, trace: &WaveTrace, cycle: usize) {
         assert_eq!(
-            self.netlist.net(net).driver(),
-            NetDriver::Input,
-            "{} is not a primary input",
-            self.netlist.net(net).name()
+            trace.num_nets(),
+            self.netlist.num_nets(),
+            "trace incompatible with this netlist"
         );
-        let word = u64::from(value).wrapping_neg();
-        if self.values[net.index()] != word {
-            self.values[net.index()] = word;
-            self.settled = false;
+        let words = trace.cycle_words(cycle);
+        for &net in self.netlist.inputs() {
+            let i = net.index();
+            let word = (words[i / WORD_LANES] >> (i % WORD_LANES) & 1).wrapping_neg();
+            if self.values[i] != word {
+                self.values[i] = word;
+                self.settled = false;
+            }
         }
     }
 
@@ -152,8 +131,7 @@ impl<'n> WideSimulator<'n> {
         self.values[net.index()]
     }
 
-    /// Latches every flip-flop from its data input in all lanes and
-    /// advances the cycle.
+    /// Latches every flip-flop from its data input in all lanes.
     pub fn tick(&mut self) {
         self.settle();
         // Two-phase latch, exactly like the scalar engine, over the flat
@@ -169,7 +147,6 @@ impl<'n> WideSimulator<'n> {
             }
         }
         self.latch_scratch = next;
-        self.cycle += 1;
     }
 
     /// Flips the stored value of a flip-flop in a single lane — one SEU in
@@ -202,21 +179,22 @@ mod tests {
         let (n, topo) = counter(4);
         let en = n.find_net("en").unwrap();
 
-        // Golden scalar trace.
+        // Golden scalar trace, with the enable toggling.
         let mut sim = Simulator::new(&n, &topo);
-        sim.set_input(en, true);
         let mut trace = WaveTrace::new(n.num_nets());
-        for _ in 0..6 {
+        for cycle in 0..6 {
+            sim.set_input(en, cycle % 3 != 1);
             trace.capture(&mut sim);
             sim.tick();
         }
 
-        // Seed wide at cycle 2 and advance in lock-step; with no flips all
-        // lanes must reproduce the golden values exactly.
+        // Seed wide at cycle 2 and advance in lock-step, replaying the
+        // inputs from the trace; with no flips all lanes must reproduce the
+        // golden values exactly.
         let mut wide = WideSimulator::new(&n, &topo);
         wide.load_from_trace(&trace, 2);
         for cycle in 2..6 {
-            wide.set_input(en, true);
+            wide.load_inputs_from_trace(&trace, cycle);
             wide.settle();
             for i in 0..n.num_nets() {
                 let net = NetId::from_index(i);

@@ -69,10 +69,9 @@ proptest! {
 
         for c in inject_cycle..cycles {
             for (i, &input) in inputs.iter().enumerate() {
-                let bit = stim_bit(seed, i, c);
-                scalar.set_input(input, bit);
-                wide.set_input(input, bit);
+                scalar.set_input(input, stim_bit(seed, i, c));
             }
+            wide.load_inputs_from_trace(&trace, c);
             scalar.settle();
             wide.settle();
             for idx in 0..n.num_nets() {
@@ -122,9 +121,7 @@ proptest! {
         let mut wide = WideSimulator::new(&n, &topo);
         wide.load_from_trace(&trace, start);
         for c in start..cycles {
-            for (i, &input) in inputs.iter().enumerate() {
-                wide.set_input(input, stim_bit(seed, i, c));
-            }
+            wide.load_inputs_from_trace(&trace, c);
             wide.settle();
             for idx in 0..n.num_nets() {
                 let net = NetId::from_index(idx);

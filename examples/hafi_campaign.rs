@@ -5,8 +5,9 @@
 //! pruning removes the points that are provably benign *before* any
 //! experiment runs, and the remaining experiments are classified against
 //! the golden run.  The offline half (search, trace, prune matrix) runs
-//! through the artifact-cached pipeline; the injection loop itself stays on
-//! the checkpoint-seeded batch engine.
+//! through the artifact-cached pipeline; the injection loop itself calls the
+//! batched engine directly, which replays the memories' responses from the
+//! golden trace.
 //!
 //! ```text
 //! cargo run --release --example hafi_campaign
@@ -57,9 +58,9 @@ fn main() -> Result<(), MateError> {
     );
 
     // The campaign: sample points, skip pruned ones, classify the rest in
-    // one checkpoint-seeded batch (the AVR memories are snapshotable).
+    // one batch, 64 points per lane word.
     let workload = AvrWorkload::new(programs::fib(Termination::Loop), vec![]);
-    let golden = golden_run(&workload, cycles + 1);
+    let golden = golden_run(&workload, cycles + 1)?;
     let points = space.sample(sample, 2026);
     let (pruned, to_run): (Vec<_>, Vec<_>) = points
         .into_iter()

@@ -38,7 +38,9 @@ fn main() -> Result<(), MateError> {
 
     // Sanity: the convolution program computes the right outputs in its
     // first pass (check the memory region once it has been written).
-    let halted_run = Msp430System::new().run(&programs::conv(Termination::Halt), 40_000);
+    let halted_run = Msp430System::new()
+        .run(&programs::conv(Termination::Halt), 40_000)
+        .unwrap();
     let base = programs::CONV_Y_BASE as usize;
     assert_eq!(
         &halted_run.mem[base..base + programs::CONV_N as usize],

@@ -44,9 +44,11 @@ fn eval_avr_uncached() -> CoreEval {
     let wires_norf = ff_wires_filtered(sys.netlist(), sys.topology(), |n| !is_register_file(n));
     let mates =
         search_design(sys.netlist(), sys.topology(), &wires_all, &test_config()).into_mate_set();
-    let fib = sys.run(&avr_programs::fib(Termination::Loop), &[], CYCLES);
+    let fib = sys
+        .run(&avr_programs::fib(Termination::Loop), &[], CYCLES)
+        .unwrap();
     let (conv_prog, conv_dmem) = avr_programs::conv(Termination::Loop);
-    let conv = sys.run(&conv_prog, &conv_dmem, CYCLES);
+    let conv = sys.run(&conv_prog, &conv_dmem, CYCLES).unwrap();
     let all = evaluate(&mates, &fib.trace, &wires_all);
     let norf = evaluate(&mates, &fib.trace, &wires_norf);
     CoreEval {
@@ -73,8 +75,12 @@ fn eval_msp_uncached() -> CoreEval {
     let wires_norf = ff_wires_filtered(sys.netlist(), sys.topology(), |n| !is_register_file(n));
     let mates =
         search_design(sys.netlist(), sys.topology(), &wires_all, &test_config()).into_mate_set();
-    let fib = sys.run(&msp_programs::fib(Termination::Loop), CYCLES);
-    let conv = sys.run(&msp_programs::conv(Termination::Loop), CYCLES);
+    let fib = sys
+        .run(&msp_programs::fib(Termination::Loop), CYCLES)
+        .unwrap();
+    let conv = sys
+        .run(&msp_programs::conv(Termination::Loop), CYCLES)
+        .unwrap();
     let all = evaluate(&mates, &fib.trace, &wires_all);
     let norf = evaluate(&mates, &fib.trace, &wires_norf);
     CoreEval {
