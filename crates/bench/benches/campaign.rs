@@ -1,19 +1,18 @@
-//! Campaign-engine throughput: scalar per-point `inject` vs. the batched
-//! 64-lane engines, in faults per second — for both the full-settle
-//! reference engine and the event-driven differential engine.
+//! Campaign throughput: scalar per-point `inject` vs. the batched 64-lane
+//! campaign (`run_campaign_wide`, on the engine each design picks), in
+//! faults per second.
 //!
 //! Seven circuits: the paper's Figure-1b example, a random ≥200-FF netlist
 //! (the scale where bit-parallel packing pays off), a random ≥1000-FF
-//! netlist showing how the differential engine's advantage grows with
-//! netlist size, a 64-slice TMR register bank under periodic stimuli — the
+//! netlist, a 64-slice TMR register bank under periodic stimuli — the
 //! masked-heavy workload where every upset is voted away within one cycle —
 //! the ingested `uart_tx` core, and the AVR and MSP430 cores with their
-//! memories attached, whose campaigns the engines run by replaying the
-//! memories' responses from the golden trace.  Besides the criterion
-//! reporting, the
-//! bench emits a machine-readable `BENCH_campaign.json` at the workspace
-//! root with all numbers, the per-row speedups, the engine the `auto`
-//! policy resolves to per circuit, and the host CPU count.
+//! memories attached, whose campaigns replay the memories' responses from
+//! the golden trace.  Figure 1b and `uart_tx` fall below the full-settle
+//! threshold of combinational cells, the rest run the differential engine.
+//! Besides the criterion reporting, the bench emits a machine-readable
+//! `BENCH_campaign.json` at the workspace root with all numbers, the
+//! speedups over scalar and the host CPU count.
 
 use std::time::Instant;
 
@@ -21,8 +20,7 @@ use criterion::{is_quick_test, Criterion, Throughput};
 
 use mate_cores::{avr, msp430, AvrWorkload, Msp430Workload, Termination};
 use mate_hafi::{
-    run_campaign, run_campaign_wide, CampaignConfig, CampaignEngine, DesignHarness, FaultSpace,
-    StimulusHarness,
+    run_campaign, run_campaign_wide, CampaignConfig, DesignHarness, FaultSpace, StimulusHarness,
 };
 use mate_netlist::examples::{figure1b, tmr_bank};
 use mate_netlist::random::{random_circuit, RandomCircuitConfig};
@@ -46,32 +44,15 @@ fn drive_all_inputs(mut harness: StimulusHarness, seed: u64, cycles: usize) -> S
     harness
 }
 
-/// One measured engine.
-struct Row {
-    engine: CampaignEngine,
-    fps: f64,
-}
-
 struct Measured {
     name: &'static str,
     ffs: usize,
+    /// Combinational cells: the design picks its engine by this count.
+    comb_cells: usize,
     points: usize,
     cycles: usize,
-    /// What [`CampaignEngine::Auto`] resolves to on this circuit.
-    auto_engine: CampaignEngine,
     scalar_fps: f64,
-    rows: Vec<Row>,
-}
-
-impl Measured {
-    /// The full-settle faults/second, the reference the differential row
-    /// is compared against.
-    fn full_settle_fps(&self) -> Option<f64> {
-        self.rows
-            .iter()
-            .find(|r| r.engine == CampaignEngine::FullSettle)
-            .map(|r| r.fps)
-    }
+    wide_fps: f64,
 }
 
 /// Best-of-`reps` wall-clock for one full campaign, in faults/second.
@@ -93,56 +74,40 @@ fn measure(
 ) -> Measured {
     let space = FaultSpace::all_ffs(harness.netlist(), harness.topology(), config.cycles);
 
-    // Sanity: every engine must produce identical records before we
-    // compare their speed.  In quick mode (CI bench-smoke) this loop IS the
-    // test.
+    // The scalar oracle runs once: its records are the sanity reference the
+    // wide campaign must reproduce before anything is timed, and its wall
+    // time is the scalar row.  In quick mode (CI bench-smoke) the assert
+    // IS the test.
+    let start = Instant::now();
     let scalar = run_campaign(harness, &space, config).unwrap();
-    for engine in CampaignEngine::all() {
-        let wide =
-            run_campaign_wide(harness, &space, &CampaignConfig { engine, ..*config }).unwrap();
-        assert_eq!(
-            scalar.records, wide.records,
-            "{engine} engine diverges on {name}"
-        );
-    }
+    let scalar_s = start.elapsed().as_secs_f64();
+    let wide = run_campaign_wide(harness, &space, config).unwrap();
+    assert_eq!(
+        scalar.records, wide.records,
+        "wide campaign diverges on {name}"
+    );
     let points = scalar.len();
 
     let mut group = c.benchmark_group(&format!("campaign/{name}"));
     group.sample_size(10);
     group.throughput(Throughput::Elements(points as u64));
-    group.bench_function("scalar", |b| {
-        b.iter(|| run_campaign(harness, &space, config).unwrap());
+    group.bench_function("wide", |b| {
+        b.iter(|| run_campaign_wide(harness, &space, config).unwrap());
     });
-    for engine in CampaignEngine::all() {
-        let cfg = CampaignConfig { engine, ..*config };
-        group.bench_function(format!("{engine}"), |b| {
-            b.iter(|| run_campaign_wide(harness, &space, &cfg).unwrap());
-        });
-    }
     group.finish();
 
     let reps = if is_quick_test() { 1 } else { 3 };
-    let scalar_fps = faults_per_sec(reps, points, || {
-        run_campaign(harness, &space, config).unwrap();
+    let wide_fps = faults_per_sec(reps, points, || {
+        run_campaign_wide(harness, &space, config).unwrap();
     });
-    let rows = CampaignEngine::all()
-        .into_iter()
-        .map(|engine| {
-            let cfg = CampaignConfig { engine, ..*config };
-            let fps = faults_per_sec(reps, points, || {
-                run_campaign_wide(harness, &space, &cfg).unwrap();
-            });
-            Row { engine, fps }
-        })
-        .collect();
     Measured {
         name,
         ffs: harness.topology().seq_cells().len(),
+        comb_cells: harness.topology().comb_order().len(),
         points,
         cycles: config.cycles,
-        auto_engine: CampaignEngine::Auto.resolve(harness.topology()),
-        scalar_fps,
-        rows,
+        scalar_fps: points as f64 / scalar_s,
+        wide_fps,
     }
 }
 
@@ -153,32 +118,18 @@ fn write_json(results: &[Measured]) {
          \"engine_layout_version\": {ENGINE_LAYOUT_VERSION},\n  \"circuits\": [\n"
     );
     for (i, m) in results.iter().enumerate() {
-        let rows: Vec<String> = m
-            .rows
-            .iter()
-            .map(|r| {
-                let vs_full = m.full_settle_fps().map_or(String::new(), |reference| {
-                    format!(", \"speedup_vs_full_settle\": {:.2}", r.fps / reference)
-                });
-                format!(
-                    "{{\"engine\": \"{}\", \"faults_per_sec\": {:.1}, \
-                     \"speedup_vs_scalar\": {:.2}{vs_full}}}",
-                    r.engine,
-                    r.fps,
-                    r.fps / m.scalar_fps
-                )
-            })
-            .collect();
         out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"ffs\": {}, \"points\": {}, \"cycles\": {}, \
-             \"auto_engine\": \"{}\", \"scalar_faults_per_sec\": {:.1}, \"engines\": [\n      {}\n    ]}}{}\n",
+            "    {{\"name\": \"{}\", \"ffs\": {}, \"comb_cells\": {}, \"points\": {}, \
+             \"cycles\": {}, \"scalar_faults_per_sec\": {:.1}, \"faults_per_sec\": {:.1}, \
+             \"speedup_vs_scalar\": {:.2}}}{}\n",
             m.name,
             m.ffs,
+            m.comb_cells,
             m.points,
             m.cycles,
-            m.auto_engine,
             m.scalar_fps,
-            rows.join(",\n      "),
+            m.wide_fps,
+            m.wide_fps / m.scalar_fps,
             if i + 1 < results.len() { "," } else { "" }
         ));
     }
@@ -193,7 +144,7 @@ fn main() {
     let mut results = Vec::new();
 
     // The paper's Figure-1b example: 5 FFs, exhaustive space.  Small
-    // enough that the auto policy picks the full-settle engine.
+    // enough to run the full-settle engine.
     {
         let cycles = 64;
         let (n, topo) = figure1b();
@@ -239,9 +190,8 @@ fn main() {
         results.push(measure(&mut c, "random_220ff", &harness, &config));
     }
 
-    // A random ≥1000-FF netlist: the full-settle engine pays the full cell
-    // count every cycle, the differential engine only the live fault
-    // cones, so the gap widens with size (shrunk in quick mode).
+    // A random ≥1000-FF netlist: the differential engine pays only for the
+    // live fault cones, not the cell count (shrunk in quick mode).
     {
         let cycles = 64;
         let cfg = if is_quick_test() {
@@ -336,20 +286,12 @@ fn main() {
 
     for m in &results {
         eprintln!(
-            "{}: scalar {:.0} faults/s (auto engine: {})",
-            m.name, m.scalar_fps, m.auto_engine
+            "{}: scalar {:.0} faults/s, wide {:.0}/s ({:.1}x)",
+            m.name,
+            m.scalar_fps,
+            m.wide_fps,
+            m.wide_fps / m.scalar_fps
         );
-        for r in &m.rows {
-            let vs_full = m.full_settle_fps().map_or(String::new(), |x| {
-                format!(", {:.1}x vs full-settle", r.fps / x)
-            });
-            eprintln!(
-                "  {}: {:.0}/s ({:.1}x vs scalar{vs_full})",
-                r.engine,
-                r.fps,
-                r.fps / m.scalar_fps
-            );
-        }
     }
     if is_quick_test() {
         eprintln!("quick test mode: skipping BENCH_campaign.json");

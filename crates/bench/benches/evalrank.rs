@@ -15,9 +15,7 @@ use criterion::{is_quick_test, Criterion, Throughput};
 use mate::eval::{evaluate_scalar, evaluate_transposed};
 use mate::mates::{summarize, Mate, MateSet};
 use mate::select::{rank_eager, rank_transposed};
-use mate_hafi::{
-    run_campaign_wide, CampaignConfig, CampaignEngine, DesignHarness, FaultSpace, StimulusHarness,
-};
+use mate_hafi::{run_campaign_wide, CampaignConfig, DesignHarness, FaultSpace, StimulusHarness};
 use mate_netlist::random::{random_circuit, RandomCircuitConfig};
 use mate_netlist::{NetCube, NetId};
 use mate_pipeline::ENGINE_LAYOUT_VERSION;
@@ -196,7 +194,6 @@ fn measure_campaign(
         sample,
         seed: 9,
         threads: 1,
-        engine: CampaignEngine::default(),
     };
     let many = CampaignConfig { threads, ..one };
 

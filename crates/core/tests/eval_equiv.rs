@@ -117,7 +117,7 @@ proptest! {
             harness = harness.drive(input, values);
         }
         let space = FaultSpace::all_ffs(harness.netlist(), harness.topology(), cycles);
-        let base = CampaignConfig { cycles, sample: Some(30), seed, threads: 1, ..CampaignConfig::default() };
+        let base = CampaignConfig { cycles, sample: Some(30), seed, threads: 1 };
         let single = run_campaign_wide(&harness, &space, &base).unwrap();
         let sharded = run_campaign_wide(&harness, &space, &CampaignConfig { threads, ..base }).unwrap();
         prop_assert_eq!(&single.records, &sharded.records);

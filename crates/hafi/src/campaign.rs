@@ -1,18 +1,18 @@
 //! Injection campaigns and outcome classification.
 //!
-//! Every campaign runs on one of two batched, bit-identical engines
-//! selected through [`CampaignEngine`]: the full-settle [`WideSimulator`]
-//! reference and the event-driven [`DeltaSimulator`], whose work per cycle
-//! scales with fault-cone activity instead of netlist size.  Both replay
-//! every primary input from the golden trace, which is exact for any
-//! harness whose devices attached (see [`classify_points`]); the scalar
-//! [`inject`] oracle runs the real devices.
+//! Every batched campaign runs on one of two bit-identical 64-lane engines,
+//! picked by the design: the full-settle [`WideSimulator`] for small
+//! combinational clouds and, for the rest, the event-driven
+//! [`DeltaSimulator`], whose work per cycle scales with fault-cone activity
+//! instead of netlist size.  Both replay every primary input from the
+//! golden trace, which is exact for any harness whose devices attached (see
+//! [`classify_points`]); the scalar [`inject`] oracle runs the real devices.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
 use mate_netlist::lanes::{for_each_lane, low_lanes};
-use mate_netlist::{MateError, NetId, Netlist, Topology, WORD_LANES};
+use mate_netlist::{CellId, MateError, NetId, Netlist, Topology, WORD_LANES};
 use mate_sim::{DeltaSimulator, TransposedTrace, WaveTrace, WideSimulator};
 
 use crate::harness::DesignHarness;
@@ -100,50 +100,69 @@ fn state_nets(netlist: &Netlist, topo: &Topology) -> Vec<NetId> {
 }
 
 /// Injects a single SEU at `point` and classifies its effect against
-/// `golden` over the remaining horizon.
+/// `golden` over the remaining horizon: the one-cycle hold of
+/// [`inject_persistent`].
 ///
 /// # Errors
 ///
 /// Returns [`MateError::Campaign`] if `point.cycle` lies beyond the golden
-/// trace, or [`MateError::Device`] if the harness cannot build its
-/// testbench.
+/// trace or `point` does not name a flip-flop and its output, or
+/// [`MateError::Device`] if the harness cannot build its testbench.
 pub fn inject(
     harness: &dyn DesignHarness,
     golden: &GoldenRun,
     point: FaultPoint,
 ) -> Result<FaultEffect, MateError> {
-    check_horizon(golden, point.cycle)?;
-    let mut tb = harness.testbench()?;
-
-    // Advance fault-free to the injection cycle.
-    for _ in 0..point.cycle {
-        tb.step();
-    }
-    // Flip the victim flip-flop; its faulty value is live during this cycle.
-    tb.sim_mut().flip_ff(point.ff);
-    Ok(classify(&mut tb, golden, point.cycle))
+    inject_persistent(harness, golden, point, 1)
 }
 
-/// Rejects an injection cycle the golden trace cannot judge.
-fn check_horizon(golden: &GoldenRun, cycle: usize) -> Result<(), MateError> {
+/// Rejects a fault point the golden trace cannot judge or the design
+/// cannot inject: its cycle must lie inside the trace, its `ff` must be a
+/// flip-flop of the netlist and its `wire` that flip-flop's output.
+fn check_point(netlist: &Netlist, golden: &GoldenRun, point: FaultPoint) -> Result<(), MateError> {
     let horizon = golden.trace.num_cycles();
-    if cycle >= horizon {
+    if point.cycle >= horizon {
         return Err(MateError::campaign(format!(
-            "injection cycle {cycle} beyond golden trace of {horizon} cycles"
+            "injection cycle {} beyond golden trace of {horizon} cycles",
+            point.cycle
+        )));
+    }
+    if point.ff.index() >= netlist.num_cells() || !netlist.is_seq_cell(point.ff) {
+        return Err(MateError::campaign(format!(
+            "fault point {point:?} does not name a flip-flop"
+        )));
+    }
+    if netlist.cell(point.ff).output() != point.wire {
+        return Err(MateError::campaign(format!(
+            "fault point {point:?}: wire is not the output of flip-flop {}",
+            netlist.cell(point.ff).name()
         )));
     }
     Ok(())
 }
 
-/// Runs the remaining horizon and classifies the divergence from golden.
+/// Runs the horizon from `injected_at` and classifies the divergence from
+/// golden.  `hold` names a point whose flip-flop is forced to the
+/// complement of its golden value at the start of each of its first cycles
+/// (in the injection cycle that is the upset itself); a caller that upsets
+/// the state itself passes `None`.
 fn classify(
     tb: &mut mate_sim::Testbench<'_>,
     golden: &GoldenRun,
     injected_at: usize,
+    hold: Option<(FaultPoint, usize)>,
 ) -> FaultEffect {
     let horizon = golden.trace.num_cycles();
     let mut state_equal_at: Option<usize> = None;
     for cycle in injected_at..horizon {
+        if let Some((point, cycles)) = hold {
+            let sim = tb.sim_mut();
+            if cycle < injected_at + cycles
+                && sim.value(point.wire) == golden.trace.value(cycle, point.wire)
+            {
+                sim.flip_ff(point.ff);
+            }
+        }
         let mut outputs_ok = true;
         let mut state_ok = true;
         tb.step_observed(|sim| {
@@ -171,9 +190,12 @@ fn classify(
                     state_equal_at = Some(cycle - injected_at);
                 }
             } else {
-                // Not converged (yet, or again: a re-divergence would need
-                // diverged device state, which the device contract rules
-                // out, but the oracle checks rather than assumes it).
+                // Not converged (yet, or again: a re-divergence after the
+                // hold would need diverged device state, which the device
+                // contract rules out, but the oracle checks rather than
+                // assumes it).  A convergence found after a reset has an
+                // offset of at least 3, so `Some(1)` below means the state
+                // never re-diverged.
                 state_equal_at = None;
             }
         }
@@ -185,64 +207,136 @@ fn classify(
     }
 }
 
-/// Which batched engine classifies a campaign.
-///
-/// All choices produce bit-identical [`FaultEffect`] classifications for
-/// every thread count (enforced by the campaign proptests); the choice only
-/// trades work per cycle.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum CampaignEngine {
-    /// The full-settle [`WideSimulator`] engine: every combinational cell
-    /// re-evaluated every cycle, convergence detected by XOR-scanning the
-    /// observed nets.  Kept as the asserted-identical reference.
+/// Designs with fewer combinational cells than this run the full-settle
+/// engine, the rest the differential one.  Below it the whole cloud is a
+/// handful of dense runs, and the differential engine's frontier
+/// bookkeeping costs more than it saves: forcing it on the
+/// `uart_tx-exhaustive` benchmark workload (72 cells) cut the campaign
+/// from 410 K to 265 K faults/s.  On the cores (1,570 and 1,749 cells)
+/// differential leads full-settle 8–10× on 64-cycle windows.
+const FULL_SETTLE_MAX_CELLS: usize = 128;
+
+/// The two batched engines.  Both produce classifications bit-identical to
+/// one [`inject`] per point (enforced by the tests below, engine by
+/// engine); the design picks one, see [`Engine::for_design`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Engine {
+    /// [`WideSimulator`]: every combinational cell re-evaluated every
+    /// cycle, every observed net compared with its golden bit.
     FullSettle,
-    /// The event-driven [`DeltaSimulator`] engine: lanes carry XOR-deltas
-    /// against the golden trace, only the dirty fan-out frontier is
-    /// re-evaluated, and convergence falls out of the frontier emptying.
-    /// Work scales with fault-cone activity, not netlist size.
+    /// [`DeltaSimulator`]: lanes carry XOR-deltas against the golden trace
+    /// and only the dirty fan-out frontier is re-evaluated; work scales with
+    /// fault-cone activity, not netlist size.
     Differential,
-    /// Picks per design (the default): [`CampaignEngine::FullSettle`] for
-    /// small combinational clouds, where the full sweep is a handful of
-    /// dense runs and the differential engine's frontier bookkeeping costs
-    /// more than it saves (the honest `figure1b` regression in
-    /// `BENCH_campaign.json`), [`CampaignEngine::Differential`] everywhere
-    /// else.  Trivially bit-identical: it only ever *selects* one of the
-    /// two engines, never mixes them within a run.
-    #[default]
-    Auto,
 }
 
-/// [`CampaignEngine::Auto`] threshold: designs with fewer combinational
-/// cells than this settle faster in full — below it the whole cloud fits a
-/// few cache lines and dense sweeps beat frontier bookkeeping.
-const AUTO_FULL_SETTLE_MAX_CELLS: usize = 128;
-
-impl CampaignEngine {
-    /// The two concrete engines, reference first (for equivalence sweeps).
-    /// `Auto` is not listed: it always resolves to one of these.
-    pub fn all() -> [Self; 2] {
-        [Self::FullSettle, Self::Differential]
-    }
-
-    /// Resolves `Auto` against a design (concrete engines pass through):
-    /// full-settle below [`AUTO_FULL_SETTLE_MAX_CELLS`] combinational
-    /// cells, differential at or above.  Deterministic in the design alone,
-    /// so every thread shard of one campaign resolves identically.
-    pub fn resolve(self, topo: &Topology) -> Self {
-        match self {
-            Self::Auto if topo.comb_order().len() < AUTO_FULL_SETTLE_MAX_CELLS => Self::FullSettle,
-            Self::Auto => Self::Differential,
-            concrete => concrete,
+impl Engine {
+    /// The engine a design runs on: full-settle below
+    /// [`FULL_SETTLE_MAX_CELLS`] combinational cells, differential at or
+    /// above.  A function of the design alone, so every thread shard of
+    /// one campaign agrees.
+    fn for_design(topo: &Topology) -> Self {
+        if topo.comb_order().len() < FULL_SETTLE_MAX_CELLS {
+            Self::FullSettle
+        } else {
+            Self::Differential
         }
     }
 }
 
-impl fmt::Display for CampaignEngine {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+/// One engine's 64 lanes: seeded from the golden trace at an injection
+/// cycle, one flip per lane, then settled, compared and ticked in
+/// lock-step.  Inputs come from the golden trace in every lane.
+enum Lanes<'n> {
+    FullSettle(WideSimulator<'n>),
+    Differential {
+        sim: DeltaSimulator<'n>,
+        /// The golden trace, column-major, for the per-pin golden bits.
+        transposed: TransposedTrace,
+        /// Per net: bit 0 marks a primary output, bit 1 a state net (the
+        /// accumulator order of [`DeltaSimulator::scan_flagged`]).
+        observed: Vec<u8>,
+    },
+}
+
+impl<'n> Lanes<'n> {
+    fn new(engine: Engine, harness: &'n dyn DesignHarness, golden: &GoldenRun) -> Self {
+        let (netlist, topo) = (harness.netlist(), harness.topology());
+        match engine {
+            Engine::FullSettle => Self::FullSettle(WideSimulator::new(netlist, topo)),
+            Engine::Differential => {
+                let mut observed = vec![0u8; netlist.num_nets()];
+                for &net in &golden.output_nets {
+                    observed[net.index()] |= 1;
+                }
+                for &net in &golden.state_nets {
+                    observed[net.index()] |= 2;
+                }
+                Self::Differential {
+                    sim: DeltaSimulator::new(netlist, topo),
+                    transposed: TransposedTrace::from_trace(&golden.trace),
+                    observed,
+                }
+            }
+        }
+    }
+
+    /// Puts every lane on the golden trajectory at `cycle`.
+    fn seed(&mut self, golden: &GoldenRun, cycle: usize) {
         match self {
-            Self::FullSettle => write!(f, "full-settle"),
-            Self::Differential => write!(f, "differential"),
-            Self::Auto => write!(f, "auto"),
+            Self::FullSettle(sim) => sim.load_from_trace(&golden.trace, cycle),
+            Self::Differential { sim, .. } => sim.begin(cycle),
+        }
+    }
+
+    fn flip(&mut self, ff: CellId, lane: usize) {
+        match self {
+            Self::FullSettle(sim) => sim.flip_ff(ff, lane),
+            Self::Differential { sim, .. } => sim.flip_ff(ff, lane),
+        }
+    }
+
+    /// Settles cycle `t` and returns the lanes whose primary outputs and
+    /// the lanes whose state differ from golden, in that order.
+    fn settle(&mut self, golden: &GoldenRun, t: usize) -> [u64; 2] {
+        match self {
+            Self::FullSettle(sim) => {
+                sim.load_inputs_from_trace(&golden.trace, t);
+                let words = golden.trace.cycle_words(t);
+                let mut diff = |nets: &[NetId]| {
+                    nets.iter().fold(0u64, |acc, &net| {
+                        let i = net.index();
+                        let bit = words[i / WORD_LANES] >> (i % WORD_LANES) & 1;
+                        acc | (sim.value_word(net) ^ bit.wrapping_neg())
+                    })
+                };
+                [diff(&golden.output_nets), diff(&golden.state_nets)]
+            }
+            // Only nets with a nonzero delta can differ from golden.
+            Self::Differential {
+                sim,
+                transposed,
+                observed,
+            } => {
+                sim.settle(transposed);
+                sim.scan_flagged(observed)
+            }
+        }
+    }
+
+    /// Drops the lanes outside `active`.  Classified lanes cost the
+    /// full-settle engine nothing extra, but their deltas would keep the
+    /// differential engine's frontier at their cones until the horizon.
+    fn retire(&mut self, active: u64) {
+        if let Self::Differential { sim, .. } = self {
+            sim.retain_lanes(active);
+        }
+    }
+
+    fn tick(&mut self) {
+        match self {
+            Self::FullSettle(sim) => sim.tick(),
+            Self::Differential { sim, .. } => sim.tick(),
         }
     }
 }
@@ -252,10 +346,9 @@ impl fmt::Display for CampaignEngine {
 ///
 /// Up to 64 fault points per injection cycle are packed into the lanes of
 /// a batched engine seeded from the golden trace at the injection cycle,
-/// then classified in lock-step with per-lane early retirement.  `engine`
-/// picks between the event-driven [`CampaignEngine::Differential`] engine
-/// and the full-settle [`CampaignEngine::FullSettle`] reference;
-/// [`CampaignEngine::Auto`] resolves to one of them from the design.
+/// then classified in lock-step with per-lane early retirement.  The design
+/// picks the engine: the full-settle [`WideSimulator`] for small
+/// combinational clouds, the event-driven [`DeltaSimulator`] for the rest.
 ///
 /// Both engines replay every primary input from the golden trace instead
 /// of building a testbench and running its devices.  That is exact because
@@ -270,89 +363,24 @@ impl fmt::Display for CampaignEngine {
 /// # Errors
 ///
 /// Returns [`MateError::Campaign`] if any injection cycle lies beyond the
-/// golden trace.
+/// golden trace or any point does not name a flip-flop and its output.
 pub fn classify_points(
     harness: &dyn DesignHarness,
     golden: &GoldenRun,
     points: &[FaultPoint],
-    engine: CampaignEngine,
 ) -> Result<Vec<FaultEffect>, MateError> {
-    for p in points {
-        check_horizon(golden, p.cycle)?;
-    }
-    Ok(match engine.resolve(harness.topology()) {
-        CampaignEngine::FullSettle => classify_points_full_settle(harness, golden, points),
-        CampaignEngine::Differential | CampaignEngine::Auto => {
-            classify_points_differential(harness, golden, points)
-        }
-    })
+    classify_points_on(
+        Engine::for_design(harness.topology()),
+        harness,
+        golden,
+        points,
+    )
 }
 
-/// Per-net observation flags for the classification scans.  The bit
-/// positions match the accumulator indices of
-/// [`DeltaSimulator::scan_flagged`].
-const OBS_OUTPUT: u8 = 1;
-const OBS_STATE: u8 = 2;
-
-fn observed_flags(num_nets: usize, golden: &GoldenRun) -> Vec<u8> {
-    let mut flags = vec![0u8; num_nets];
-    for &net in &golden.output_nets {
-        flags[net.index()] |= OBS_OUTPUT;
-    }
-    for &net in &golden.state_nets {
-        flags[net.index()] |= OBS_STATE;
-    }
-    flags
-}
-
-/// Per-cycle partition of the observed nets by their golden value, so the
-/// full-settle classification loop needs neither a per-net golden broadcast
-/// nor a per-net golden bit probe: a lane diverges on a golden-one net iff
-/// its value bit is 0 (`diff |= !v`), on a golden-zero net iff it is 1
-/// (`diff |= v`).
-struct GoldenPartition {
-    out_ones: Vec<Vec<u32>>,
-    out_zeros: Vec<Vec<u32>>,
-    state_ones: Vec<Vec<u32>>,
-    state_zeros: Vec<Vec<u32>>,
-}
-
-impl GoldenPartition {
-    fn build(golden: &GoldenRun, transposed: &TransposedTrace) -> Self {
-        let horizon = golden.trace.num_cycles();
-        let mut p = Self {
-            out_ones: vec![Vec::new(); horizon],
-            out_zeros: vec![Vec::new(); horizon],
-            state_ones: vec![Vec::new(); horizon],
-            state_zeros: vec![Vec::new(); horizon],
-        };
-        for t in 0..horizon {
-            let view = transposed.cycle_view(t);
-            for &net in &golden.output_nets {
-                let bucket = if view.value(net.index()) {
-                    &mut p.out_ones[t]
-                } else {
-                    &mut p.out_zeros[t]
-                };
-                bucket.push(net.index() as u32);
-            }
-            for &net in &golden.state_nets {
-                let bucket = if view.value(net.index()) {
-                    &mut p.state_ones[t]
-                } else {
-                    &mut p.state_zeros[t]
-                };
-                bucket.push(net.index() as u32);
-            }
-        }
-        p
-    }
-}
-
-/// The full-settle engine behind [`classify_points`]: groups points
-/// by injection cycle, packs up to 64 of them into one lane-parallel run
-/// seeded from the golden trace, and compares every lane against golden
-/// with word XORs.
+/// [`classify_points`] on a given engine: groups the points by injection
+/// cycle, runs them 64 at a time, and retires each lane at its first wrong
+/// output or, from the cycle after injection on, at its first cycle with
+/// the golden state.
 ///
 /// Early retirement is sound because inputs are golden by construction:
 /// once a lane's full flip-flop state re-converges to the golden state,
@@ -360,20 +388,17 @@ impl GoldenPartition {
 /// classification is already decided — `OutputFailure` can no longer occur
 /// and the recorded convergence offset is final, exactly as the scalar
 /// classifier would conclude after running out the horizon.
-fn classify_points_full_settle(
+fn classify_points_on(
+    engine: Engine,
     harness: &dyn DesignHarness,
     golden: &GoldenRun,
     points: &[FaultPoint],
-) -> Vec<FaultEffect> {
+) -> Result<Vec<FaultEffect>, MateError> {
+    for &point in points {
+        check_point(harness.netlist(), golden, point)?;
+    }
     let horizon = golden.trace.num_cycles();
-    let mut wide = WideSimulator::new(harness.netlist(), harness.topology());
-    // Golden comparisons are precomputed per cycle: the observed nets are
-    // partitioned by golden value once, outside the chunk loop, so the
-    // per-chunk classification is pure word ops — no per-net broadcast, no
-    // per-net trace probe.
-    let transposed = TransposedTrace::from_trace(&golden.trace);
-    let part = GoldenPartition::build(golden, &transposed);
-
+    let mut lanes = Lanes::new(engine, harness, golden);
     let mut by_cycle: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
     for (idx, p) in points.iter().enumerate() {
         by_cycle.entry(p.cycle).or_default().push(idx);
@@ -382,143 +407,44 @@ fn classify_points_full_settle(
     let mut effects = vec![FaultEffect::Latent; points.len()];
     for (&cycle, indices) in &by_cycle {
         for chunk in indices.chunks(WORD_LANES) {
-            wide.load_from_trace(&golden.trace, cycle);
+            lanes.seed(golden, cycle);
             for (lane, &idx) in chunk.iter().enumerate() {
-                wide.flip_ff(points[idx].ff, lane);
+                lanes.flip(points[idx].ff, lane);
             }
             let mut active = low_lanes(chunk.len());
             for t in cycle..horizon {
-                wide.load_inputs_from_trace(&golden.trace, t);
-                wide.settle();
-                // Outputs first, mirroring the scalar classifier's priority.
-                let mut out_diff = 0u64;
-                for &net in &part.out_ones[t] {
-                    out_diff |= !wide.value_word(NetId::from_index(net as usize));
-                }
-                for &net in &part.out_zeros[t] {
-                    out_diff |= wide.value_word(NetId::from_index(net as usize));
-                }
-                let failed = out_diff & active;
-                if failed != 0 {
-                    for_each_lane(failed, |lane| {
-                        effects[chunk[lane]] = FaultEffect::OutputFailure { after: t - cycle };
-                    });
-                    active &= !failed;
-                }
-                if t > cycle && active != 0 {
-                    let mut state_diff = 0u64;
-                    for &net in &part.state_ones[t] {
-                        state_diff |= !wide.value_word(NetId::from_index(net as usize));
-                    }
-                    for &net in &part.state_zeros[t] {
-                        state_diff |= wide.value_word(NetId::from_index(net as usize));
-                    }
-                    let converged = active & !state_diff;
-                    if converged != 0 {
-                        let after = t - cycle;
-                        for_each_lane(converged, |lane| {
-                            effects[chunk[lane]] = if after == 1 {
-                                FaultEffect::MaskedWithinOneCycle
-                            } else {
-                                FaultEffect::SilentRecovery { after }
-                            };
-                        });
-                        active &= !converged;
-                    }
-                }
-                if active == 0 {
-                    break;
-                }
-                wide.tick();
-            }
-            // Lanes still active at the horizon never re-converged: Latent,
-            // which `effects` was initialized with.
-        }
-    }
-    effects
-}
-
-/// The event-driven engine behind [`classify_points`]: like
-/// [`classify_points_full_settle`] in grouping and retirement, but the
-/// chunk runs on a [`DeltaSimulator`] — campaign inputs are the golden
-/// inputs by construction, so input deltas are identically zero and only
-/// the dirty fan-out frontier of each fault cone is ever re-evaluated.  The
-/// classification scan walks the simulator's nonzero-delta set rather than
-/// all observed nets: any net absent from it matches golden in every lane.
-///
-/// Early retirement is sound for the same reason as in the full-settle
-/// engine; convergence here is simply the lane's bits vanishing from every
-/// delta, which the frontier detects without a state scan.
-fn classify_points_differential(
-    harness: &dyn DesignHarness,
-    golden: &GoldenRun,
-    points: &[FaultPoint],
-) -> Vec<FaultEffect> {
-    let horizon = golden.trace.num_cycles();
-    let transposed = TransposedTrace::from_trace(&golden.trace);
-    let flags = observed_flags(harness.netlist().num_nets(), golden);
-    let mut delta = DeltaSimulator::new(harness.netlist(), harness.topology());
-
-    let mut by_cycle: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-    for (idx, p) in points.iter().enumerate() {
-        by_cycle.entry(p.cycle).or_default().push(idx);
-    }
-
-    let mut effects = vec![FaultEffect::Latent; points.len()];
-    for (&cycle, indices) in &by_cycle {
-        for chunk in indices.chunks(WORD_LANES) {
-            delta.begin(cycle);
-            for (lane, &idx) in chunk.iter().enumerate() {
-                delta.flip_ff(points[idx].ff, lane);
-            }
-            let mut active = low_lanes(chunk.len());
-            for t in cycle..horizon {
-                delta.settle(&transposed);
                 let before = active;
-                // One scan of the (small) nonzero-delta set yields both
-                // divergence masks; every other net equals golden in all
-                // lanes.
-                let [out_diff, state_diff] = delta.scan_flagged(&flags);
+                let after = t - cycle;
+                let [out_diff, state_diff] = lanes.settle(golden, t);
                 // Outputs first, mirroring the scalar classifier's priority.
                 let failed = out_diff & active;
-                if failed != 0 {
-                    for_each_lane(failed, |lane| {
-                        effects[chunk[lane]] = FaultEffect::OutputFailure { after: t - cycle };
-                    });
-                    active &= !failed;
-                }
-                if t > cycle && active != 0 {
+                for_each_lane(failed, |lane| {
+                    effects[chunk[lane]] = FaultEffect::OutputFailure { after };
+                });
+                active &= !failed;
+                if after > 0 {
                     let converged = active & !state_diff;
-                    if converged != 0 {
-                        let after = t - cycle;
-                        for_each_lane(converged, |lane| {
-                            effects[chunk[lane]] = if after == 1 {
-                                FaultEffect::MaskedWithinOneCycle
-                            } else {
-                                FaultEffect::SilentRecovery { after }
-                            };
-                        });
-                        active &= !converged;
-                    }
+                    let effect = if after == 1 {
+                        FaultEffect::MaskedWithinOneCycle
+                    } else {
+                        FaultEffect::SilentRecovery { after }
+                    };
+                    for_each_lane(converged, |lane| effects[chunk[lane]] = effect);
+                    active &= !converged;
                 }
                 if active == 0 {
                     break;
                 }
                 if active != before {
-                    // Retired lanes' deltas are dead weight (every
-                    // classification read is `& active`-masked): dropping
-                    // them here shrinks the dirty frontier to the cones of
-                    // the undecided lanes, instead of dragging the
-                    // classified faults' cones to the horizon.
-                    delta.retain_lanes(active);
+                    lanes.retire(active);
                 }
-                delta.tick();
+                lanes.tick();
             }
             // Lanes still active at the horizon never re-converged: Latent,
             // which `effects` was initialized with.
         }
     }
-    effects
+    Ok(effects)
 }
 
 /// Injects a *simultaneous* multi-bit SEU (all points in the same cycle)
@@ -528,8 +454,9 @@ fn classify_points_differential(
 /// # Errors
 ///
 /// Returns [`MateError::Campaign`] if the points lie in different cycles,
-/// no point is given, or the cycle lies beyond the golden trace, or
-/// [`MateError::Device`] if the harness cannot build its testbench.
+/// no point is given, the cycle lies beyond the golden trace or a point
+/// does not name a flip-flop and its output, or [`MateError::Device`] if
+/// the harness cannot build its testbench.
 pub fn inject_multi(
     harness: &dyn DesignHarness,
     golden: &GoldenRun,
@@ -543,8 +470,10 @@ pub fn inject_multi(
             "multi-bit upsets are simultaneous: all points must share one cycle",
         ));
     }
+    for &point in points {
+        check_point(harness.netlist(), golden, point)?;
+    }
     let cycle = first.cycle;
-    check_horizon(golden, cycle)?;
     let mut tb = harness.testbench()?;
     for _ in 0..cycle {
         tb.step();
@@ -552,7 +481,7 @@ pub fn inject_multi(
     for point in points {
         tb.sim_mut().flip_ff(point.ff);
     }
-    Ok(classify(&mut tb, golden, cycle))
+    Ok(classify(&mut tb, golden, cycle, None))
 }
 
 /// Injects an upset that *holds* for `hold_cycles` cycles: the flip-flop is
@@ -561,9 +490,10 @@ pub fn inject_multi(
 ///
 /// # Errors
 ///
-/// Returns [`MateError::Campaign`] if `hold_cycles` is zero or the affected
-/// window leaves the golden trace, or [`MateError::Device`] if the harness
-/// cannot build its testbench.
+/// Returns [`MateError::Campaign`] if `hold_cycles` is zero, the affected
+/// window leaves the golden trace or `point` does not name a flip-flop and
+/// its output, or [`MateError::Device`] if the harness cannot build its
+/// testbench.
 pub fn inject_persistent(
     harness: &dyn DesignHarness,
     golden: &GoldenRun,
@@ -575,6 +505,7 @@ pub fn inject_persistent(
             "upset must hold for at least one cycle",
         ));
     }
+    check_point(harness.netlist(), golden, point)?;
     let horizon = golden.trace.num_cycles();
     if point.cycle + hold_cycles > horizon {
         return Err(MateError::campaign(format!(
@@ -586,56 +517,12 @@ pub fn inject_persistent(
     for _ in 0..point.cycle {
         tb.step();
     }
-    let mut state_equal_at: Option<usize> = None;
-    let mut diverged_again = false;
-    for cycle in point.cycle..horizon {
-        if cycle < point.cycle + hold_cycles {
-            // Force the complement of the golden value for this cycle.
-            let sim = tb.sim_mut();
-            let want = !golden.trace.value(cycle, point.wire);
-            if sim.value(point.wire) != want {
-                sim.flip_ff(point.ff);
-            }
-        }
-        let mut outputs_ok = true;
-        let mut state_ok = true;
-        tb.step_observed(|sim| {
-            for &net in &golden.output_nets {
-                if sim.value(net) != golden.trace.value(cycle, net) {
-                    outputs_ok = false;
-                    break;
-                }
-            }
-            for &net in &golden.state_nets {
-                if sim.value(net) != golden.trace.value(cycle, net) {
-                    state_ok = false;
-                    break;
-                }
-            }
-        });
-        if !outputs_ok {
-            return Ok(FaultEffect::OutputFailure {
-                after: cycle - point.cycle,
-            });
-        }
-        if cycle > point.cycle {
-            if state_ok {
-                if state_equal_at.is_none() {
-                    state_equal_at = Some(cycle - point.cycle);
-                }
-            } else if state_equal_at.is_some() && cycle >= point.cycle + hold_cycles {
-                diverged_again = true;
-                state_equal_at = None;
-            } else if cycle < point.cycle + hold_cycles {
-                state_equal_at = None;
-            }
-        }
-    }
-    Ok(match state_equal_at {
-        Some(1) if !diverged_again => FaultEffect::MaskedWithinOneCycle,
-        Some(after) => FaultEffect::SilentRecovery { after },
-        None => FaultEffect::Latent,
-    })
+    Ok(classify(
+        &mut tb,
+        golden,
+        point.cycle,
+        Some((point, hold_cycles)),
+    ))
 }
 
 /// Campaign parameters.
@@ -651,9 +538,6 @@ pub struct CampaignConfig {
     /// cores (the [`crate::SearchConfig`]-style convention).  Results are
     /// bit-identical for every thread count.
     pub threads: usize,
-    /// Which batched engine classifies the campaign.  Results are
-    /// bit-identical for every choice.
-    pub engine: CampaignEngine,
 }
 
 impl Default for CampaignConfig {
@@ -663,7 +547,6 @@ impl Default for CampaignConfig {
             sample: None,
             seed: 0,
             threads: 0,
-            engine: CampaignEngine::default(),
         }
     }
 }
@@ -804,10 +687,10 @@ fn effective_threads(threads: usize, points: usize) -> usize {
 }
 
 /// Runs a full (or sampled) injection campaign over `space` on the batched
-/// engine selected by [`CampaignConfig::engine`]: identical records to
-/// [`run_campaign`], at up to 64 fault scenarios per simulation via
-/// [`classify_points`], sharded over [`CampaignConfig::threads`]
-/// worker threads (threads × 64 concurrent fault scenarios).
+/// engine the design picks: identical records to [`run_campaign`], at up
+/// to 64 fault scenarios per simulation via [`classify_points`], sharded
+/// over [`CampaignConfig::threads`] worker threads (threads × 64
+/// concurrent fault scenarios).
 ///
 /// Each thread classifies one contiguous chunk of the point list into its
 /// slice of the result buffer, so the records come back in the original
@@ -824,6 +707,21 @@ pub fn run_campaign_wide(
     space: &FaultSpace,
     config: &CampaignConfig,
 ) -> Result<CampaignResult, MateError> {
+    run_campaign_wide_on(
+        Engine::for_design(harness.topology()),
+        harness,
+        space,
+        config,
+    )
+}
+
+/// [`run_campaign_wide`] on a given engine.
+fn run_campaign_wide_on(
+    engine: Engine,
+    harness: &(dyn DesignHarness + Sync),
+    space: &FaultSpace,
+    config: &CampaignConfig,
+) -> Result<CampaignResult, MateError> {
     let golden = golden_run(harness, config.cycles + 1)?;
     let points: Vec<FaultPoint> = match config.sample {
         Some(count) => space.sample(count, config.seed),
@@ -834,17 +732,16 @@ pub fn run_campaign_wide(
     .collect();
     let threads = effective_threads(config.threads, points.len());
     let effects = if threads <= 1 {
-        classify_points(harness, &golden, &points, config.engine)?
+        classify_points_on(engine, harness, &golden, &points)?
     } else {
         let chunk = points.len().div_ceil(threads);
         let mut shards: Vec<Result<Vec<FaultEffect>, MateError>> =
             points.chunks(chunk).map(|_| Ok(Vec::new())).collect();
         let golden = &golden;
-        let engine = config.engine;
         std::thread::scope(|scope| {
             for (pts, out) in points.chunks(chunk).zip(shards.iter_mut()) {
                 scope.spawn(move || {
-                    *out = classify_points(harness, golden, pts, engine);
+                    *out = classify_points_on(engine, harness, golden, pts);
                 });
             }
         });
@@ -866,6 +763,14 @@ mod tests {
     use crate::harness::StimulusHarness;
     use crate::space::FaultSpace;
     use mate_netlist::examples::{counter, figure1b, tmr_register};
+    use mate_netlist::random::{random_circuit, RandomCircuitConfig};
+    use proptest::prelude::*;
+
+    use crate::common::harness_for;
+
+    /// Both engines: every test below that compares an engine with the
+    /// scalar oracle runs it on each.
+    const ENGINES: [Engine; 2] = [Engine::FullSettle, Engine::Differential];
 
     #[test]
     fn counter_bit_flip_is_persistent_but_silent_only_if_unobserved() {
@@ -941,6 +846,34 @@ mod tests {
         assert_eq!(effect, FaultEffect::MaskedWithinOneCycle);
     }
 
+    /// Every point of the figure-1b circuit and of the TMR register: a
+    /// one-cycle hold is the plain flip that `inject_multi` performs.
+    #[test]
+    fn one_cycle_hold_is_a_single_flip() {
+        let (n, topo) = figure1b();
+        let input = n.find_net("in").unwrap();
+        let figure = StimulusHarness::new(n, topo)
+            .drive(input, (0..=16).map(|c| c % 3 == 1).collect::<Vec<_>>());
+        let (n, topo) = tmr_register();
+        let load = n.find_net("load").unwrap();
+        let din = n.find_net("din").unwrap();
+        let tmr = StimulusHarness::new(n, topo)
+            .drive(load, vec![true, false, false, true])
+            .drive(din, vec![true, false]);
+        let mut classes = std::collections::HashSet::new();
+        for harness in [&figure, &tmr] {
+            let golden = golden_run(harness, 17).unwrap();
+            let space = FaultSpace::all_ffs(harness.netlist(), harness.topology(), 16);
+            for p in space.iter() {
+                let held = inject_persistent(harness, &golden, p, 1).unwrap();
+                assert_eq!(held, inject(harness, &golden, p).unwrap(), "{p:?}");
+                assert_eq!(held, inject_multi(harness, &golden, &[p]).unwrap(), "{p:?}");
+                classes.insert(std::mem::discriminant(&held));
+            }
+        }
+        assert!(classes.len() >= 2, "degenerate workloads");
+    }
+
     #[test]
     fn campaign_histogram_counts_everything() {
         let (n, topo) = tmr_register();
@@ -1002,7 +935,6 @@ mod tests {
             sample: None,
             seed: 0,
             threads: 1,
-            engine: CampaignEngine::default(),
         };
         let single = run_campaign_wide(&harness, &space, &base).unwrap();
         for threads in [0usize, 2, 4, 7, 1000] {
@@ -1013,9 +945,12 @@ mod tests {
     }
 
     /// Classifies the exhaustive fault space of `harness` over `cycles`
-    /// with both batched engines, asserts each equals one scalar `inject`
-    /// per point, and returns the scalar effects.
-    fn assert_engines_match_inject(harness: &StimulusHarness, cycles: usize) -> Vec<FaultEffect> {
+    /// with both engines, asserts each equals one scalar `inject` per
+    /// point, and returns the scalar effects.
+    fn assert_engines_match_inject(
+        harness: &dyn DesignHarness,
+        cycles: usize,
+    ) -> Result<Vec<FaultEffect>, TestCaseError> {
         let space = FaultSpace::all_ffs(harness.netlist(), harness.topology(), cycles);
         let golden = golden_run(harness, cycles + 1).unwrap();
         let points: Vec<FaultPoint> = space.iter().collect();
@@ -1023,21 +958,46 @@ mod tests {
             .iter()
             .map(|&p| inject(harness, &golden, p).unwrap())
             .collect();
-        for engine in CampaignEngine::all() {
-            let batched = classify_points(harness, &golden, &points, engine).unwrap();
-            assert_eq!(scalar, batched, "{engine} engine");
+        for engine in ENGINES {
+            let batched = classify_points_on(engine, harness, &golden, &points).unwrap();
+            prop_assert_eq!(&scalar, &batched, "{:?} engine", engine);
         }
-        scalar
+        Ok(scalar)
+    }
+
+    /// Runs the scalar campaign (one `inject` per point) and asserts that
+    /// both engines at 1 and 3 threads reproduce it record for record.
+    /// Returns the scalar result.
+    fn assert_engines_match_scalar_campaign(
+        harness: &(dyn DesignHarness + Sync),
+        base: CampaignConfig,
+    ) -> Result<CampaignResult, TestCaseError> {
+        let space = FaultSpace::all_ffs(harness.netlist(), harness.topology(), base.cycles);
+        let scalar = run_campaign(harness, &space, &base).unwrap();
+        for engine in ENGINES {
+            for threads in [1, 3] {
+                let config = CampaignConfig { threads, ..base };
+                let wide = run_campaign_wide_on(engine, harness, &space, &config).unwrap();
+                prop_assert_eq!(
+                    &scalar.records,
+                    &wide.records,
+                    "{:?} engine {} threads",
+                    engine,
+                    threads
+                );
+            }
+        }
+        Ok(scalar)
     }
 
     #[test]
     fn engines_match_scalar_reference() {
-        // Both batched engines classify bit-identically to the scalar
-        // `inject` path, including partially filled tail chunks.
+        // Both engines classify bit-identically to the scalar `inject`
+        // path, including partially filled tail chunks.
         let (n, topo) = counter(5);
         let en = n.find_net("en").unwrap();
         let harness = StimulusHarness::new(n, topo).drive(en, vec![true, true, false]);
-        assert_engines_match_inject(&harness, 20);
+        assert_engines_match_inject(&harness, 20).unwrap();
 
         // The paper's figure-1b circuit, whose verdicts are mixed.
         let (n, topo) = figure1b();
@@ -1045,35 +1005,72 @@ mod tests {
         let cycles = 24;
         let harness = StimulusHarness::new(n, topo)
             .drive(input, (0..=cycles).map(|c| c % 3 == 1).collect::<Vec<_>>());
-        let scalar = assert_engines_match_inject(&harness, cycles);
+        let scalar = assert_engines_match_inject(&harness, cycles).unwrap();
         let classes: std::collections::HashSet<_> =
             scalar.iter().map(std::mem::discriminant).collect();
         assert!(classes.len() >= 2, "degenerate workload");
     }
 
+    /// Every entry point rejects, as a typed error, a point at the horizon,
+    /// a point whose cell is not a flip-flop, a cell id outside the netlist
+    /// and a wire that is not the flip-flop's output.
     #[test]
     fn injection_at_horizon_is_rejected() {
+        fn rejected<T>(result: Result<T, MateError>) -> bool {
+            matches!(result, Err(MateError::Campaign(_)))
+        }
         let (n, topo) = counter(3);
         let en = n.find_net("en").unwrap();
         let harness = StimulusHarness::new(n, topo).drive(en, vec![true]);
+        let netlist = harness.netlist();
         let golden = golden_run(&harness, 5).unwrap();
-        let ff = harness.topology().seq_cells()[0];
-        let wire = harness.netlist().cell(ff).output();
-        let inside = FaultPoint { ff, wire, cycle: 4 };
-        let at_horizon = FaultPoint { ff, wire, cycle: 5 };
+        let ffs = harness.topology().seq_cells();
+        let inside = FaultPoint {
+            ff: ffs[0],
+            wire: netlist.cell(ffs[0]).output(),
+            cycle: 4,
+        };
+        let comb = (0..netlist.num_cells())
+            .map(CellId::from_index)
+            .find(|&c| !netlist.is_seq_cell(c))
+            .unwrap();
+        let bad = [
+            FaultPoint { cycle: 5, ..inside },
+            FaultPoint {
+                ff: comb,
+                wire: netlist.cell(comb).output(),
+                ..inside
+            },
+            FaultPoint {
+                ff: CellId::from_index(netlist.num_cells()),
+                ..inside
+            },
+            FaultPoint {
+                wire: netlist.cell(ffs[1]).output(),
+                ..inside
+            },
+        ];
         assert!(inject(&harness, &golden, inside).is_ok());
-        assert!(matches!(
-            inject(&harness, &golden, at_horizon),
-            Err(MateError::Campaign(_))
-        ));
-        for engine in CampaignEngine::all() {
+        for p in bad {
+            assert!(rejected(inject(&harness, &golden, p)), "inject {p:?}");
             assert!(
-                matches!(
-                    classify_points(&harness, &golden, &[inside, at_horizon], engine),
-                    Err(MateError::Campaign(_))
-                ),
-                "{engine} engine"
+                rejected(inject_multi(&harness, &golden, &[p])),
+                "inject_multi {p:?}"
             );
+            assert!(
+                rejected(inject_persistent(&harness, &golden, p, 1)),
+                "inject_persistent {p:?}"
+            );
+            assert!(
+                rejected(classify_points(&harness, &golden, &[inside, p])),
+                "classify_points {p:?}"
+            );
+            for engine in ENGINES {
+                assert!(
+                    rejected(classify_points_on(engine, &harness, &golden, &[inside, p])),
+                    "{engine:?} engine {p:?}"
+                );
+            }
         }
     }
 
@@ -1089,27 +1086,166 @@ mod tests {
         let base = CampaignConfig {
             cycles: 10,
             threads: 1,
-            engine: CampaignEngine::FullSettle,
             ..CampaignConfig::default()
         };
-        let reference = run_campaign_wide(&harness, &space, &base).unwrap();
-        for engine in CampaignEngine::all() {
+        let reference = run_campaign_wide_on(Engine::FullSettle, &harness, &space, &base).unwrap();
+        for engine in ENGINES {
             for threads in [1usize, 3] {
-                let run = run_campaign_wide(
-                    &harness,
-                    &space,
-                    &CampaignConfig {
-                        threads,
-                        engine,
-                        ..base
-                    },
-                )
-                .unwrap();
+                let config = CampaignConfig { threads, ..base };
+                let run = run_campaign_wide_on(engine, &harness, &space, &config).unwrap();
                 assert_eq!(
                     reference.records, run.records,
-                    "{engine} engine, {threads} threads"
+                    "{engine:?} engine, {threads} threads"
                 );
             }
+        }
+    }
+
+    /// On a design with more than 64 flip-flops one injection cycle spans
+    /// two lane words, the second one partial, and thread shards cut cycles
+    /// at arbitrary points: every chunking must keep each point's own
+    /// verdict.
+    #[test]
+    fn engines_match_scalar_campaign_across_lane_words() {
+        let cfg = RandomCircuitConfig {
+            inputs: 4,
+            ffs: 80,
+            gates: 240,
+            outputs: 4,
+        };
+        let cycles = 8;
+        let harness = harness_for(5, cfg, cycles + 1);
+        assert!(harness.topology().seq_cells().len() > WORD_LANES);
+        let config = CampaignConfig {
+            cycles,
+            sample: None,
+            ..CampaignConfig::default()
+        };
+        let scalar = assert_engines_match_scalar_campaign(&harness, config).unwrap();
+        // Mixed verdicts, so a point read from another lane would show.
+        assert!(scalar.histogram().len() >= 2, "{:?}", scalar.histogram());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Exhaustive fault space on random circuits: both engines classify
+        /// every point exactly like the scalar `inject` path.
+        #[test]
+        fn engines_match_inject_on_random_circuits(seed in 0u64..5_000) {
+            let cfg = RandomCircuitConfig { inputs: 3, ffs: 8, gates: 28, outputs: 2 };
+            let cycles = 12;
+            let harness = harness_for(seed.wrapping_add(101), cfg, cycles + 1);
+            assert_engines_match_inject(&harness, cycles)?;
+        }
+
+        /// Sampled campaigns: both engines at 1 and 3 threads agree with
+        /// the scalar campaign record for record.
+        #[test]
+        fn engines_match_scalar_campaign(seed in 0u64..5_000) {
+            let cfg = RandomCircuitConfig { inputs: 4, ffs: 6, gates: 20, outputs: 2 };
+            let cycles = 10;
+            let harness = harness_for(seed.wrapping_add(13), cfg, cycles + 1);
+            let config = CampaignConfig { cycles, sample: Some(40), seed, ..CampaignConfig::default() };
+            assert_engines_match_scalar_campaign(&harness, config)?;
+        }
+
+        /// Thread sharding is invisible per engine: any thread count
+        /// reproduces the single-threaded full-settle records.
+        #[test]
+        fn engines_match_across_thread_counts(seed in 0u64..5_000, threads in 2usize..5) {
+            let cfg = RandomCircuitConfig { inputs: 3, ffs: 6, gates: 22, outputs: 2 };
+            let cycles = 10;
+            let harness = harness_for(seed.wrapping_add(57), cfg, cycles + 1);
+            let space = FaultSpace::all_ffs(harness.netlist(), harness.topology(), cycles);
+            let base = CampaignConfig { cycles, sample: Some(30), seed, threads: 1 };
+            let reference = run_campaign_wide_on(Engine::FullSettle, &harness, &space, &base).unwrap();
+            for engine in ENGINES {
+                let config = CampaignConfig { threads, ..base };
+                let sharded = run_campaign_wide_on(engine, &harness, &space, &config).unwrap();
+                prop_assert_eq!(
+                    &reference.records, &sharded.records,
+                    "{:?} engine {} threads", engine, threads
+                );
+            }
+        }
+    }
+
+    /// The cores' memories are devices.  The engines replay their responses
+    /// from the golden trace while `run_campaign` injects through the real
+    /// memories, so equal records test the replay argument itself.
+    mod device_replay {
+        use super::*;
+        use crate::common::{AvrHarness, MspHarness};
+        use std::collections::HashSet;
+        use std::mem::discriminant;
+
+        use mate_cores::avr::programs as avr_programs;
+        use mate_cores::avr::system::AvrSystem;
+        use mate_cores::msp430::programs as msp_programs;
+        use mate_cores::msp430::system::Msp430System;
+        use mate_cores::Termination;
+
+        /// Compares both engines at 1 and 3 threads with scalar injection
+        /// on a sample over a 64-cycle window and one over a 256-cycle
+        /// window (where latent and late-recovering lanes run long); each
+        /// sample must cover at least three effect classes.
+        fn assert_replay_matches_inject(harness: &(dyn DesignHarness + Sync)) {
+            assert_eq!(Engine::for_design(harness.topology()), Engine::Differential);
+            for (cycles, sample) in [(64, 96), (256, 64)] {
+                let config = CampaignConfig {
+                    cycles,
+                    sample: Some(sample),
+                    seed: 42,
+                    ..CampaignConfig::default()
+                };
+                let scalar = assert_engines_match_scalar_campaign(harness, config).unwrap();
+                let classes: HashSet<_> = scalar
+                    .records
+                    .iter()
+                    .map(|(_, e)| discriminant(e))
+                    .collect();
+                assert!(
+                    classes.len() >= 3,
+                    "{cycles} cycles: {:?}",
+                    scalar.histogram()
+                );
+            }
+        }
+
+        #[test]
+        fn avr_fib_replay_matches_inject() {
+            assert_replay_matches_inject(&AvrHarness {
+                sys: AvrSystem::new(),
+                program: avr_programs::fib(Termination::Loop),
+                dmem: Vec::new(),
+            });
+        }
+
+        #[test]
+        fn avr_conv_replay_matches_inject() {
+            let (program, dmem) = avr_programs::conv(Termination::Loop);
+            assert_replay_matches_inject(&AvrHarness {
+                sys: AvrSystem::new(),
+                program,
+                dmem,
+            });
+        }
+
+        #[test]
+        fn msp430_fib_replay_matches_inject() {
+            assert_replay_matches_inject(&MspHarness {
+                sys: Msp430System::new(),
+                image: msp_programs::fib(Termination::Loop),
+            });
+        }
+
+        #[test]
+        fn msp430_conv_replay_matches_inject() {
+            assert_replay_matches_inject(&MspHarness {
+                sys: Msp430System::new(),
+                image: msp_programs::conv(Termination::Loop),
+            });
         }
     }
 
@@ -1165,38 +1301,12 @@ mod tests {
     }
 
     #[test]
-    fn engine_display_and_default() {
-        assert_eq!(CampaignEngine::default(), CampaignEngine::Auto);
-        assert_eq!(format!("{}", CampaignEngine::FullSettle), "full-settle");
-        assert_eq!(format!("{}", CampaignEngine::Differential), "differential");
-        assert_eq!(format!("{}", CampaignEngine::Auto), "auto");
-        // `all()` lists only the concrete engines, reference first: Auto
-        // always resolves to one of them.
-        assert_eq!(CampaignEngine::all()[0], CampaignEngine::FullSettle);
-        assert!(!CampaignEngine::all().contains(&CampaignEngine::Auto));
-    }
-
-    #[test]
-    fn auto_engine_resolves_by_comb_cell_count() {
-        // counter(3) is tiny: Auto picks the full-settle reference.
-        let (n, topo) = counter(3);
-        assert!(topo.comb_order().len() < 128);
-        assert_eq!(
-            CampaignEngine::Auto.resolve(&topo),
-            CampaignEngine::FullSettle
-        );
-        // Concrete engines pass through untouched.
-        assert_eq!(
-            CampaignEngine::Differential.resolve(&topo),
-            CampaignEngine::Differential
-        );
-        assert_eq!(
-            CampaignEngine::FullSettle.resolve(&topo),
-            CampaignEngine::FullSettle
-        );
-        // A large random netlist crosses the threshold: Auto goes
-        // differential.
-        use mate_netlist::random::{random_circuit, RandomCircuitConfig};
+    fn engine_follows_comb_cell_count() {
+        // counter(3) is tiny: full-settle.
+        let (_, topo) = counter(3);
+        assert!(topo.comb_order().len() < FULL_SETTLE_MAX_CELLS);
+        assert_eq!(Engine::for_design(&topo), Engine::FullSettle);
+        // A large random netlist crosses the threshold: differential.
         let (_, big) = random_circuit(
             RandomCircuitConfig {
                 inputs: 8,
@@ -1206,12 +1316,8 @@ mod tests {
             },
             1,
         );
-        assert!(big.comb_order().len() >= 128);
-        assert_eq!(
-            CampaignEngine::Auto.resolve(&big),
-            CampaignEngine::Differential
-        );
-        let _ = n;
+        assert!(big.comb_order().len() >= FULL_SETTLE_MAX_CELLS);
+        assert_eq!(Engine::for_design(&big), Engine::Differential);
     }
 
     #[test]

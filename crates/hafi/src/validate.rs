@@ -12,7 +12,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use crate::campaign::{classify_points, golden_run, CampaignEngine, FaultEffect};
+use crate::campaign::{classify_points, golden_run, FaultEffect};
 use crate::harness::DesignHarness;
 use crate::space::{FaultPoint, FaultSpace};
 
@@ -99,7 +99,7 @@ pub fn validate_mates(
         }
     }
     // Batched classification: up to 64 claimed points share one run.
-    let effects = classify_points(harness, &golden, &claimed_points, CampaignEngine::default())?;
+    let effects = classify_points(harness, &golden, &claimed_points)?;
     for (point, effect) in claimed_points.into_iter().zip(effects) {
         validation.checked += 1;
         if effect.is_masked_one_cycle() {

@@ -8,29 +8,10 @@ use proptest::prelude::*;
 
 mod common;
 
+use common::harness_for;
 use mate::{ff_wires, search_design, SearchConfig};
-use mate_hafi::{validate_mates, DesignHarness, StimulusHarness};
-use mate_netlist::random::{random_circuit, RandomCircuitConfig};
-
-fn harness_for(seed: u64, cfg: RandomCircuitConfig, cycles: usize) -> StimulusHarness {
-    let (netlist, topo) = random_circuit(cfg, seed);
-    let inputs = netlist.inputs().to_vec();
-    let mut harness = StimulusHarness::new(netlist, topo);
-    // Deterministic pseudo-random stimuli derived from the seed.
-    for (i, input) in inputs.into_iter().enumerate() {
-        let values: Vec<bool> = (0..cycles)
-            .map(|c| {
-                let x = seed
-                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                    .wrapping_add((i as u64) << 32 | c as u64)
-                    .wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                (x >> 37) & 1 == 1
-            })
-            .collect();
-        harness = harness.drive(input, values);
-    }
-    harness
-}
+use mate_hafi::{validate_mates, DesignHarness};
+use mate_netlist::random::RandomCircuitConfig;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]

@@ -928,9 +928,9 @@ impl Stage<&Design> for Campaign {
             None => h.bool(false),
         }
         h.u64(self.config.seed);
-        // `threads` and `engine` excluded: records are bit-identical for
-        // every thread count and batched engine (enforced by the campaign
-        // proptests), so neither may split the cache.
+        // `threads` excluded: records are bit-identical for every thread
+        // count (enforced by the campaign tests), so it may not split the
+        // cache.
         match &self.wires {
             Some(spec) => {
                 h.bool(true);

@@ -166,23 +166,21 @@ fn changed_search_config_misses_while_the_prefix_hits() {
     assert!(flow.summary().records[1].cached, "{}", flow.summary());
 }
 
-/// Plants a campaign artifact under one engine configuration and proves a
-/// different one — engine and thread count both changed — still hits it:
-/// records are bit-identical for every engine and thread count, so neither
-/// may split the cache.
+/// Plants a campaign artifact single-threaded and proves a threaded run
+/// still hits it: records are bit-identical for every thread count, so it
+/// may not split the cache.
 #[test]
-fn engine_and_threads_never_split_the_campaign_cache() {
-    use mate_hafi::{CampaignEngine, PruningStats};
+fn threads_never_split_the_campaign_cache() {
+    use mate_hafi::PruningStats;
 
-    let scratch = Scratch::new("engine-hit");
+    let scratch = Scratch::new("threads-hit");
     let planted_config = CampaignConfig {
         cycles: 12,
         threads: 1,
-        engine: CampaignEngine::FullSettle,
         ..CampaignConfig::default()
     };
 
-    // Plant: computed on the full-settle engine, single-threaded.
+    // Plant: computed single-threaded.
     let mut flow = Flow::new(scratch.store(), tmr_source()).unwrap();
     let planted = flow.campaign(tmr_waves(), planted_config, None).unwrap();
     let summary = flow.into_summary();
@@ -192,12 +190,10 @@ fn engine_and_threads_never_split_the_campaign_cache() {
         PruningStats::unpruned(planted.value.records.len())
     );
 
-    // Probe: auto engine, threaded — must hit the planted artifact
-    // byte-for-byte.
+    // Probe: threaded — must hit the planted artifact byte-for-byte.
     let probe_config = CampaignConfig {
         cycles: 12,
         threads: 3,
-        engine: CampaignEngine::Auto,
         ..CampaignConfig::default()
     };
     let mut flow = Flow::new(scratch.store(), tmr_source()).unwrap();
@@ -205,7 +201,7 @@ fn engine_and_threads_never_split_the_campaign_cache() {
     let summary = flow.into_summary();
     assert!(
         summary.records.last().unwrap().cached,
-        "engine/threads must not split the cache: {summary}"
+        "threads must not split the cache: {summary}"
     );
     assert_eq!(probe.key, planted.key);
     assert_eq!(probe.value.records, planted.value.records);

@@ -1,14 +1,14 @@
 //! Acceptance tests for the Yosys JSON frontend: the vendored third core
 //! (`vendor/netlists/uart_tx`) ingests through the lint gate, behaves
 //! like an 8N1 UART, runs the full pipeline (search → capture → evaluate
-//! → select → verify → campaign on every engine), and its
+//! → select → verify → campaign, checked against scalar injection), and its
 //! artifact cache is keyed by the *bytes* of the external file.
 
 use std::path::{Path, PathBuf};
 
 use mate::SearchConfig;
 use mate_analyze::VerifyConfig;
-use mate_hafi::{CampaignConfig, CampaignEngine};
+use mate_hafi::{run_campaign, CampaignConfig, FaultSpace, StimulusHarness};
 use mate_netlist::yosys::parse_yosys_netlist;
 use mate_netlist::{Library, MateError};
 use mate_pipeline::{ingest_gate, ArtifactStore, DesignSource, Flow, TraceSource, WireSetSpec};
@@ -176,34 +176,26 @@ fn vendored_core_runs_the_full_pipeline() {
     let counts = analysis.value.counts();
     assert_eq!(counts.refuted, 0, "unsound MATE on the vendored core");
 
-    // Campaign: every engine, bit-identical records.
-    let mut reference = None;
-    for engine in CampaignEngine::all() {
-        // A fresh store per engine forces a real recompute on each one
-        // (they share one cache key by design — bit-identical invariant).
-        let combo_scratch = Scratch::new(&format!("combo-{engine:?}"));
-        let mut flow = Flow::new(combo_scratch.store(), uart_source()).unwrap();
-        let result = flow
-            .campaign(
-                uart_waves(0x5A),
-                CampaignConfig {
-                    cycles: 48,
-                    threads: 1,
-                    engine,
-                    ..CampaignConfig::default()
-                },
-                None,
-            )
-            .unwrap();
-        assert_eq!(result.value.records.len(), 17 * 48);
-        match &reference {
-            None => reference = Some(result.value.records.clone()),
-            Some(expected) => assert_eq!(
-                &result.value.records, expected,
-                "{engine:?} diverged from the reference records"
-            ),
-        }
+    // Campaign: the flow's wide campaign reproduces one scalar `inject`
+    // per point.
+    let config = CampaignConfig {
+        cycles: 48,
+        threads: 1,
+        ..CampaignConfig::default()
+    };
+    let campaign = flow.campaign(uart_waves(0x5A), config, None).unwrap();
+    assert_eq!(campaign.value.records.len(), 17 * 48);
+    let design = flow.design();
+    let mut harness = StimulusHarness::new(design.netlist.clone(), design.topology.clone());
+    let TraceSource::Stimuli { waves } = uart_waves(0x5A) else {
+        unreachable!("uart_waves returns stimuli")
+    };
+    for (name, values) in waves {
+        harness = harness.drive(design.netlist.find_net(&name).unwrap(), values);
     }
+    let space = FaultSpace::all_ffs(&design.netlist, &design.topology, config.cycles);
+    let scalar = run_campaign(&harness, &space, &config).unwrap();
+    assert_eq!(campaign.value.records, scalar.records);
 }
 
 /// The external-file fingerprint covers bytes, not paths: identical bytes

@@ -19,7 +19,8 @@
 //!   campaigns replay every input from the golden trace.
 //! * [`wide`] — a 64-lane bit-parallel engine over the compile-once
 //!   [`mate_netlist::SoaNetlist`] arena: one `u64` word per net carries 64
-//!   independent fault scenarios, the substrate of batched campaigns.
+//!   independent fault scenarios.  Campaigns on designs with few
+//!   combinational cells run on it.
 //! * [`transposed`] — column-major bit-plane traces
 //!   ([`transposed::TransposedTrace`]): one packed word covers 64 cycles of
 //!   one net, so trace analyses (MATE evaluation, coverage ranking) run
@@ -28,7 +29,7 @@
 //!   ([`delta::DeltaSimulator`]): lane words carry XOR-deltas against the
 //!   golden trace and only the dirty fan-out frontier is re-evaluated each
 //!   cycle, so campaign work scales with fault-cone activity instead of
-//!   netlist size.
+//!   netlist size.  Campaigns on every larger design run on it.
 //!
 //! # Example
 //!

@@ -15,9 +15,7 @@
 
 use fault_space_pruning::cores::avr::programs;
 use fault_space_pruning::cores::{AvrWorkload, Termination};
-use fault_space_pruning::hafi::{
-    classify_points, golden_run, CampaignEngine, CommandModel, FaultSpace,
-};
+use fault_space_pruning::hafi::{classify_points, golden_run, CommandModel, FaultSpace};
 use fault_space_pruning::mate::prelude::*;
 use fault_space_pruning::netlist::MateError;
 use fault_space_pruning::pipeline::{Flow, WireSetSpec};
@@ -67,7 +65,7 @@ fn main() -> Result<(), MateError> {
         .partition(|point| report.matrix.is_masked(point.wire, point.cycle));
     let skipped = pruned.len();
     let mut histogram = std::collections::BTreeMap::<&str, usize>::new();
-    for effect in classify_points(&workload, &golden, &to_run, CampaignEngine::default())? {
+    for effect in classify_points(&workload, &golden, &to_run)? {
         let key = match effect {
             fault_space_pruning::hafi::FaultEffect::MaskedWithinOneCycle => "masked-1-cycle",
             fault_space_pruning::hafi::FaultEffect::SilentRecovery { .. } => "silent-recovery",
