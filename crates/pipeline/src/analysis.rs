@@ -132,12 +132,9 @@ impl<'a> Stage<(&'a Design, &'a MateSet)> for Analyze {
     ) -> Result<Vec<u8>, MateError> {
         let n = &design.netlist;
         let mut text = format!(
-            "# analyze v{} budget={} diags={} verdicts={} coverage={}\n",
+            "# analyze v{} budget={}\n",
             self.version(),
-            output.conflict_budget,
-            output.diagnostics.len(),
-            output.verdicts.len(),
-            output.coverage.len()
+            output.conflict_budget
         );
         for d in &output.diagnostics {
             let (kind, locus) = match d.locus {
@@ -229,31 +226,12 @@ impl<'a> Stage<(&'a Design, &'a MateSet)> for Analyze {
         let n = &design.netlist;
         let text = artifact_utf8(self.name(), bytes)?;
         let mut lines = text.lines().enumerate();
-        let (_, header) = lines
+        let prefix = format!("# analyze v{} budget=", self.version());
+        let conflict_budget = lines
             .next()
-            .ok_or_else(|| MateError::artifact(self.name(), "empty artifact"))?;
-        let tag = format!("v{}", self.version());
-        if header
-            .split_whitespace()
-            .take(3)
-            .ne(["#", "analyze", tag.as_str()])
-        {
-            return Err(MateError::artifact(
-                self.name(),
-                format!("header is not `# analyze {tag} …`"),
-            ));
-        }
-        let header_field = |key: &str| -> Result<u64, MateError> {
-            header
-                .split_whitespace()
-                .find_map(|tok| tok.strip_prefix(key))
-                .ok_or_else(|| MateError::artifact(self.name(), format!("header missing {key}")))?
-                .parse::<u64>()
-                .map_err(|_| {
-                    MateError::artifact(self.name(), format!("header {key} is not a number"))
-                })
-        };
-        let conflict_budget = header_field("budget=")?;
+            .and_then(|(_, header)| header.strip_prefix(prefix.as_str()))
+            .ok_or_else(|| MateError::artifact(self.name(), format!("header is not `{prefix}N`")))
+            .and_then(|budget| parse_field(self.name(), 0, budget))?;
 
         let cells_by_name: HashMap<&str, mate_netlist::CellId> = n
             .cells()
@@ -436,20 +414,6 @@ impl<'a> Stage<(&'a Design, &'a MateSet)> for Analyze {
                     ));
                 }
                 None => return Err(bad_line(self.name(), idx)),
-            }
-        }
-        // A truncated or line-dropped artifact still parses record by
-        // record; the header's counts catch it.
-        for (key, records) in [
-            ("diags=", diagnostics.len()),
-            ("verdicts=", verdicts.len()),
-            ("coverage=", coverage.len()),
-        ] {
-            if header_field(key)? != records as u64 {
-                return Err(MateError::artifact(
-                    self.name(),
-                    format!("header {key} does not match the {records} records present"),
-                ));
             }
         }
         Ok(AnalysisReport {

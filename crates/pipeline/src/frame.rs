@@ -2,45 +2,24 @@
 //! records.
 //!
 //! Both address nets and flip-flops by position, not by name, so a frame
-//! carries what a name-keyed text format got for free: an artifact
-//! written for a different net numbering, or damaged on disk, fails to
-//! decode — and is recomputed — instead of decoding to a wrong value.
+//! carries what a name-keyed text format got for free: it opens with a
+//! fingerprint of the design's numbering (net names in id order, then the
+//! `seq_cells()` order), and an artifact written for a different numbering
+//! fails to decode — and is recomputed — instead of decoding to a wrong
+//! value.  Damage on disk is the store's concern: its seal covers these
+//! bytes like any other payload ([`crate::store`]).
 //!
-//! | bytes  | field |
-//! |--------|-------|
-//! | 0..8   | format tag |
-//! | 8..16  | numbering fingerprint: net names in id order, then the `seq_cells()` order |
-//! | 16..24 | checksum of the payload |
-//! | 24..   | payload: little-endian fixed-width fields |
+//! | bytes | field |
+//! |-------|-------|
+//! | 0..8  | numbering fingerprint |
+//! | 8..   | payload: little-endian fixed-width fields |
 
 use mate_netlist::MateError;
 
 use crate::stages::Design;
+use crate::store::fold;
 
-const HEADER: usize = 24;
-
-/// A 64-bit checksum folded 8 bytes at a time (the per-byte FNV of
-/// [`ContentHasher`](crate::ContentHasher) is too slow for megabyte
-/// payloads).  Every step is a bijection of the running state, so changing
-/// any one word — a flipped bit, a rewritten byte — always changes the
-/// result.
-fn checksum(bytes: &[u8]) -> u64 {
-    fn step(h: u64, word: u64) -> u64 {
-        let x = (h ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        x ^ (x >> 29)
-    }
-    let mut chunks = bytes.chunks_exact(8);
-    let mut h = step(0, bytes.len() as u64);
-    for chunk in &mut chunks {
-        h = step(
-            h,
-            u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")),
-        );
-    }
-    let mut tail = [0u8; 8];
-    tail[..chunks.remainder().len()].copy_from_slice(chunks.remainder());
-    step(h, u64::from_le_bytes(tail))
-}
+const HEADER: usize = 8;
 
 /// Fingerprint of the design's numbering: what positional payloads
 /// silently depend on.
@@ -57,7 +36,7 @@ fn numbering(design: &Design) -> u64 {
     for ff in seq {
         bytes.extend_from_slice(&(ff.index() as u64).to_le_bytes());
     }
-    checksum(&bytes)
+    fold(&bytes)
 }
 
 /// Builds one framed artifact; header and payload share one buffer.
@@ -66,14 +45,11 @@ pub(crate) struct FrameWriter {
 }
 
 impl FrameWriter {
-    /// Starts a frame tagged `tag` for `design`, with room for
-    /// `payload_len` payload bytes.
-    pub(crate) fn new(tag: [u8; 8], design: &Design, payload_len: usize) -> Self {
+    /// Starts a frame for `design`, with room for `payload_len` payload
+    /// bytes.
+    pub(crate) fn new(design: &Design, payload_len: usize) -> Self {
         let mut buf = Vec::with_capacity(HEADER + payload_len);
-        buf.extend_from_slice(&tag);
         buf.extend_from_slice(&numbering(design).to_le_bytes());
-        // The checksum, filled in by `finish`.
-        buf.extend_from_slice(&[0; 8]);
         Self { buf }
     }
 
@@ -89,29 +65,26 @@ impl FrameWriter {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Seals the frame: checksums the payload into the header.
-    pub(crate) fn finish(mut self) -> Vec<u8> {
-        let sum = checksum(&self.buf[HEADER..]);
-        self.buf[16..HEADER].copy_from_slice(&sum.to_le_bytes());
+    /// The framed bytes.
+    pub(crate) fn finish(self) -> Vec<u8> {
         self.buf
     }
 }
 
-/// The payload of a frame whose header checked out, read front to back.
+/// The payload of a frame whose numbering checked out, read front to back.
 pub(crate) struct Payload<'a> {
     stage: &'static str,
     rest: &'a [u8],
 }
 
-/// Checks the header of `bytes` — tag, the numbering of `design`, payload
-/// checksum — and returns the payload.
+/// Checks that `bytes` were framed for the numbering of `design` and
+/// returns the payload.
 ///
 /// # Errors
 ///
-/// Returns [`MateError::Artifact`] naming the first mismatch.
+/// Returns [`MateError::Artifact`] on a short frame or another numbering.
 pub(crate) fn open<'a>(
     stage: &'static str,
-    tag: [u8; 8],
     design: &Design,
     bytes: &'a [u8],
 ) -> Result<Payload<'a>, MateError> {
@@ -120,15 +93,8 @@ pub(crate) fn open<'a>(
         return Err(bad("truncated header"));
     }
     let (header, payload) = bytes.split_at(HEADER);
-    let field = |at: usize| u64::from_le_bytes(header[at..at + 8].try_into().expect("8 bytes"));
-    if header[..8] != tag {
-        return Err(bad("unknown format tag"));
-    }
-    if field(8) != numbering(design) {
+    if u64::from_le_bytes(header.try_into().expect("8 bytes")) != numbering(design) {
         return Err(bad("written for a different net numbering"));
-    }
-    if field(16) != checksum(payload) {
-        return Err(bad("payload checksum mismatch"));
     }
     Ok(Payload {
         stage,
@@ -168,29 +134,5 @@ impl<'a> Payload<'a> {
     /// The unread rest of the payload.
     pub(crate) fn rest(self) -> &'a [u8] {
         self.rest
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn checksum_sees_every_single_byte_change_and_length() {
-        let bytes: Vec<u8> = (0..37u8).collect();
-        let sum = checksum(&bytes);
-        for at in 0..bytes.len() {
-            for flip in [1u8, 0x80, 0xff] {
-                let mut changed = bytes.clone();
-                changed[at] ^= flip;
-                assert_ne!(checksum(&changed), sum, "byte {at} ^ {flip:#x}");
-            }
-        }
-        // A zero tail byte is not the same as a missing one.
-        let mut longer = bytes.clone();
-        longer.push(0);
-        assert_ne!(checksum(&longer), sum);
-        assert_ne!(checksum(&bytes[..36]), sum);
-        assert_ne!(checksum(&[]), checksum(&[0]));
     }
 }

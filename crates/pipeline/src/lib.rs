@@ -8,7 +8,8 @@
 //! * [`Stage<In>`](Stage) — one step; its output is a serializable
 //!   *artifact* keyed by `H(stage name, version, config, input keys)`.
 //! * [`ArtifactStore`] — the on-disk content-addressed store
-//!   (`target/mate-artifacts` by default, `$MATE_ARTIFACT_DIR` override).
+//!   (`target/mate-artifacts` by default, `$MATE_ARTIFACT_DIR` override);
+//!   it seals every artifact and serves only files whose seal checks out.
 //! * [`Pipeline`] — runs stages, serving unchanged prefixes from the store
 //!   and recording per-stage timings plus cache hit/miss counters in a
 //!   [`RunSummary`].

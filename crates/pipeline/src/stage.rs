@@ -70,12 +70,17 @@ pub trait Stage<In> {
     /// Returns [`MateError`] when the output cannot be serialized.
     fn encode(&self, input: &In, output: &Self::Output) -> Result<Vec<u8>, MateError>;
 
-    /// Reconstructs an output from artifact bytes.
+    /// Reconstructs an output from the payload [`Stage::encode`] wrote.
+    ///
+    /// The store only hands over payloads whose seal checked out, so
+    /// `decode` need not detect damage.  It still checks that the payload
+    /// fits `input` — the design's numbering, a matrix's shape — and it
+    /// never panics, whatever the bytes.
     ///
     /// # Errors
     ///
-    /// Returns [`MateError`] on malformed artifacts (the pipeline falls
-    /// back to [`Stage::execute`]).
+    /// Returns [`MateError`] on a payload that does not fit the input (the
+    /// pipeline falls back to [`Stage::execute`]).
     fn decode(&self, input: &In, bytes: &[u8]) -> Result<Self::Output, MateError>;
 
     /// Optionally refines the artifact key with the produced *content* —
@@ -138,14 +143,14 @@ impl Pipeline {
     ///
     /// Cache protocol: the output key is
     /// `H(name, engine layout, version, fingerprint, deps)` — see
-    /// [`ENGINE_LAYOUT_VERSION`].  If the store holds that key the artifact
-    /// is decoded and the stage is *not* executed (a **hit**); otherwise the
-    /// stage executes and its encoded output is persisted (a **miss**).  An
-    /// artifact that fails to decode also counts as a miss: the stage
-    /// executes and overwrites it.  The binary trace and campaign artifacts
-    /// carry a payload checksum and the design's net-numbering fingerprint,
-    /// so a damaged or foreign one always fails to decode; the text
-    /// artifacts fail only where their parsers notice.
+    /// [`ENGINE_LAYOUT_VERSION`].  If the store holds a sealed artifact
+    /// under that key it is decoded and the stage is *not* executed (a
+    /// **hit**); otherwise the stage executes and its encoded output is
+    /// persisted (a **miss**).  A file whose seal does not check out — a
+    /// damaged, truncated or misplaced one — is a miss, and so is an
+    /// artifact that fails to decode: the stage executes and overwrites it.
+    /// An [always-run](Stage::always_runs) stage is a hit when its sealed
+    /// artifact is present.
     ///
     /// # Errors
     ///
@@ -174,7 +179,7 @@ impl Pipeline {
             h.hash(&key);
             stage.output_fingerprint(&value, &mut h);
             let key = h.finish();
-            let cached = self.store.contains(stage.name(), &key);
+            let cached = self.store.load(stage.name(), &key)?.is_some();
             if !cached {
                 let bytes = stage.encode(&input, &value)?;
                 self.store.save(stage.name(), &key, &bytes)?;
@@ -183,8 +188,8 @@ impl Pipeline {
             return Ok(Staged { value, key });
         }
 
-        if let Some(bytes) = self.store.load(stage.name(), &key)? {
-            if let Ok(value) = stage.decode(&input, &bytes) {
+        if let Some(artifact) = self.store.load(stage.name(), &key)? {
+            if let Ok(value) = stage.decode(&input, &artifact) {
                 self.record(stage.name(), true, start.elapsed(), key);
                 return Ok(Staged { value, key });
             }

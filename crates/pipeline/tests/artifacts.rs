@@ -1,26 +1,24 @@
-//! The binary trace and campaign artifacts: `decode(encode(x)) == x` on
-//! the real cores and at the format's edges, and a damaged or foreign
-//! artifact never changes a result — it fails to decode, the stage reruns
-//! and a valid artifact replaces it.  The text MATE sets of the search and
-//! select stages carry a MATE count in their header, so a truncated or
-//! line-dropped one is recomputed too.
+//! Every stage codec: `decode(encode(x)) == x` on the real cores, and for
+//! the binary trace and campaign artifacts at the format's edges too.  A
+//! trace or campaign written for another net numbering fails to decode.
+//! Damage on disk is the store's concern (`damage.rs`).
 
 use std::path::{Path, PathBuf};
 
-use proptest::prelude::*;
-
-use mate::{MateSet, SearchConfig};
+use mate::eval::{EvalReport, PruneMatrix};
+use mate::{read_mates, SearchConfig, SearchStats};
+use mate_analyze::VerifyConfig;
 use mate_cores::{avr, msp430, AvrSystem, Msp430System, Termination};
 use mate_hafi::{CampaignConfig, CampaignResult, FaultEffect, FaultPoint};
-use mate_netlist::examples::{figure1b, tmr_register};
 use mate_netlist::verilog::parse_verilog;
+use mate_netlist::yosys::to_yosys_json;
 use mate_netlist::Library;
 use mate_pipeline::{
-    ArtifactStore, Campaign, ContentHash, Design, DesignSource, Flow, LoadDesign, Stage,
-    TraceCapture, TraceSource, WireSetSpec,
+    Analyze, Campaign, Design, DesignSource, Evaluate, GmtLibrary, LoadDesign, MateSearch, Select,
+    Stage, TraceCapture, TraceSource, WireSetSpec,
 };
 
-/// A fresh scratch store root, removed on drop.
+/// A fresh scratch directory, removed on drop.
 struct Scratch(PathBuf);
 
 impl Scratch {
@@ -28,11 +26,8 @@ impl Scratch {
         let dir =
             std::env::temp_dir().join(format!("mate-artifact-test-{}-{tag}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
         Self(dir)
-    }
-
-    fn store(&self) -> ArtifactStore {
-        ArtifactStore::new(&self.0)
     }
 }
 
@@ -183,8 +178,8 @@ fn traces_round_trip_at_word_boundaries_and_zero_cycles() {
             };
             let trace = capture.execute(&&design).unwrap();
             let bytes = capture.encode(&&design, &trace).unwrap();
-            // Header, two shape fields, then whole rows of words.
-            assert_eq!(bytes.len(), 24 + 16 + 8 * cycles * nets.div_ceil(64));
+            // Numbering, two shape fields, then whole rows of words.
+            assert_eq!(bytes.len(), 8 + 16 + 8 * cycles * nets.div_ceil(64));
             let back = capture.decode(&&design, &bytes).unwrap();
             assert_eq!(back, trace, "{nets} nets x {cycles} cycles");
         }
@@ -261,237 +256,131 @@ fn artifacts_are_rejected_by_a_design_with_permuted_names() {
     assert!(campaign.decode(&&permuted, &bytes).is_err());
 }
 
-fn tmr_source() -> DesignSource {
-    DesignSource::Builder {
-        label: "tmr-register",
-        build: tmr_register,
+/// Flip-flops outside the register file (`r<number>_<bit>`): on the AVR
+/// core the search finds some 80 MATEs there in a fraction of a second.
+fn not_register_file() -> WireSetSpec {
+    WireSetSpec::FilteredFfs {
+        id: "not-register-file",
+        keep: |name| {
+            !(name.starts_with('r') && name.as_bytes().get(1).is_some_and(u8::is_ascii_digit))
+        },
     }
 }
 
-fn tmr_waves() -> TraceSource {
-    TraceSource::Stimuli {
-        waves: vec![
-            ("load".into(), vec![true, false, false, false, true, false]),
-            ("din".into(), vec![true, true, true, true, false]),
-        ],
-    }
+/// The search statistics that are not wall-clock times.
+fn counters(s: &SearchStats) -> (usize, u64, usize, usize, u64, usize, usize) {
+    (
+        s.faulty_wires,
+        s.avg_cone.to_bits(),
+        s.median_cone,
+        s.unmaskable,
+        s.candidates,
+        s.num_mates,
+        s.gmt_entries,
+    )
 }
 
-/// Byte offsets worth damaging in an artifact whose shape fields end at
-/// `data`: one per header field, per shape field, and the first and last
-/// data bytes.
-fn damage_sites(data: usize, len: usize) -> Vec<usize> {
-    let mut sites = vec![0, 8, 16];
-    sites.extend((24..data).step_by(8));
-    sites.extend([data, len - 1]);
-    sites
-}
-
-/// Truncation points: every header and shape-field boundary, and one byte
-/// short of whole.
-fn cut_points(data: usize, len: usize) -> Vec<usize> {
-    let mut cuts: Vec<usize> = (0..=data).step_by(8).collect();
-    cuts.push(len - 1);
-    cuts
-}
-
-/// Plants a warm store, then damages the artifact of `stage` in each way:
-/// every case must rerun the stage, return the cold value and leave the
-/// cold artifact behind.
-fn damaged_artifacts_are_recomputed<T: PartialEq + std::fmt::Debug>(
-    tag: &str,
-    stage: &str,
-    data: usize,
-    run: impl Fn(&mut Flow) -> (T, mate_pipeline::ContentHash),
-) {
-    let scratch = Scratch::new(tag);
-    let store = scratch.store();
-    let mut flow = Flow::new(store.clone(), tmr_source()).unwrap();
-    let (cold, key) = run(&mut flow);
-    let good = store.load(stage, &key).unwrap().expect("planted artifact");
-
-    let mut cases: Vec<(String, Vec<u8>)> = Vec::new();
-    for at in damage_sites(data, good.len()) {
-        let mut bad = good.clone();
-        bad[at] ^= 0x10;
-        cases.push((format!("bit flip at byte {at}"), bad));
-    }
-    for cut in cut_points(data, good.len()) {
-        cases.push((format!("truncated to {cut} bytes"), good[..cut].to_vec()));
-    }
-    for (case, bad) in cases {
-        store.save(stage, &key, &bad).unwrap();
-        let mut flow = Flow::new(store.clone(), tmr_source()).unwrap();
-        let (value, again) = run(&mut flow);
-        let record = flow.summary().records.last().unwrap();
-        assert_eq!(record.stage, stage);
-        assert!(
-            !record.cached,
-            "{stage}, {case}: damaged artifact was served"
-        );
-        assert_eq!(again, key);
-        assert_eq!(value, cold, "{stage}, {case}: result changed");
-        let healed = store.load(stage, &key).unwrap();
-        assert_eq!(healed.as_ref(), Some(&good), "{stage}, {case}: not healed");
-    }
-
-    // The healed store serves the stage again.
-    let mut flow = Flow::new(store, tmr_source()).unwrap();
-    run(&mut flow);
-    assert!(flow.summary().records.last().unwrap().cached);
+/// An evaluation report as comparable values.
+fn eval_values(report: &EvalReport) -> (PruneMatrix, Vec<usize>, usize, u64, u64) {
+    (
+        report.matrix.clone(),
+        report.triggers.clone(),
+        report.effective,
+        report.avg_inputs.to_bits(),
+        report.std_inputs.to_bits(),
+    )
 }
 
 #[test]
-fn damaged_trace_artifacts_are_recomputed() {
-    // Shape fields: num_nets, cycles.
-    damaged_artifacts_are_recomputed("trace", "trace-capture", 40, |flow| {
-        let staged = flow.capture(tmr_waves(), 16).unwrap();
-        (staged.value, staged.key)
-    });
+fn avr_fib_text_artifacts_round_trip() {
+    let sys = AvrSystem::new();
+    let design = core_design(sys.netlist(), sys.topology());
+
+    let gmt = GmtLibrary;
+    let table = gmt.execute(&&design).unwrap();
+    let bytes = gmt.encode(&&design, &table).unwrap();
+    assert_eq!(gmt.decode(&&design, &bytes).unwrap(), table);
+
+    let search = MateSearch {
+        wires: not_register_file(),
+        config: SearchConfig::default(),
+    };
+    let found = search.execute(&&design).unwrap();
+    assert!(found.mates.len() > 20, "{} MATEs", found.mates.len());
+    let bytes = search.encode(&&design, &found).unwrap();
+    let back = search.decode(&&design, &bytes).unwrap();
+    assert_eq!(back.mates, found.mates);
+    assert_eq!(counters(&back.stats), counters(&found.stats));
+    let (a, b) = (&back.stats, &found.stats);
+    for (x, y) in [
+        (a.run_time, b.run_time),
+        (a.max_wire_time, b.max_wire_time),
+        (a.total_wire_time, b.total_wire_time),
+    ] {
+        assert!(x.abs_diff(y).as_nanos() <= 1, "{x:?} vs {y:?}");
+    }
+
+    let trace = TraceCapture {
+        source: TraceSource::Avr {
+            program: avr::programs::fib(Termination::Loop),
+            dmem: Vec::new(),
+        },
+        cycles: 300,
+    }
+    .execute(&&design)
+    .unwrap();
+    let input = (&design, &found.mates, &trace);
+    let evaluate = Evaluate {
+        wires: not_register_file(),
+    };
+    let report = evaluate.execute(&input).unwrap();
+    assert!(report.matrix.masked_points() > 0);
+    let bytes = evaluate.encode(&input, &report).unwrap();
+    let back = evaluate.decode(&input, &bytes).unwrap();
+    assert_eq!(eval_values(&back), eval_values(&report));
+
+    // Select keeps rank order, which is not the order the search's
+    // summarizing reader would give the same text.
+    let select = Select {
+        wires: not_register_file(),
+        top_n: 20,
+    };
+    let ranked = select.execute(&input).unwrap();
+    assert_eq!(ranked.len(), 20);
+    let bytes = select.encode(&input, &ranked).unwrap();
+    assert_eq!(select.decode(&input, &bytes).unwrap(), ranked);
+    assert_ne!(read_mates(&design.netlist, &bytes[..]).unwrap(), ranked);
+
+    let analyze = Analyze {
+        config: VerifyConfig::default(),
+    };
+    let input = (&design, &ranked);
+    let report = analyze.execute(&input).unwrap();
+    assert!(!report.verdicts.is_empty() && !report.coverage.is_empty());
+    let bytes = analyze.encode(&input, &report).unwrap();
+    assert_eq!(analyze.decode(&input, &bytes).unwrap(), report);
 }
 
 #[test]
-fn damaged_campaign_artifacts_are_recomputed() {
-    // Shape field: the record count.
-    damaged_artifacts_are_recomputed("campaign", "campaign", 32, |flow| {
-        let config = CampaignConfig {
-            cycles: 12,
-            ..CampaignConfig::default()
-        };
-        let staged = flow.campaign(tmr_waves(), config, None).unwrap();
-        (staged.value.records, staged.key)
-    });
-}
-
-/// Search, capture and select (top-N = every MATE) on figure1b; returns the
-/// MATE set of `stage` (`mate-search` or `select`), its artifact key, and
-/// whether the store served it.
-fn figure1b_mates(store: ArtifactStore, stage: &str) -> (MateSet, ContentHash, bool) {
-    let source = DesignSource::Builder {
-        label: "figure1b",
-        build: figure1b,
+fn yosys_json_designs_round_trip() {
+    let scratch = Scratch::new("yosys");
+    let path = scratch.0.join("avr.json");
+    let sys = AvrSystem::new();
+    std::fs::write(&path, to_yosys_json(sys.netlist())).unwrap();
+    let load = LoadDesign {
+        source: DesignSource::YosysJson { path, top: None },
     };
-    let mut flow = Flow::new(store, source).unwrap();
-    let search = flow
-        .search(WireSetSpec::AllFfs, SearchConfig::default())
-        .unwrap();
-    let trace = flow
-        .capture(
-            TraceSource::Stimuli {
-                waves: vec![("in".into(), vec![true, false, false, true])],
-            },
-            32,
-        )
-        .unwrap();
-    let selected = flow
-        .select(
-            WireSetSpec::AllFfs,
-            search.value.mates.len(),
-            (&search.value.mates, search.key),
-            trace.part(),
-        )
-        .unwrap();
-    let summary = flow.into_summary();
-    let record = summary.records.iter().find(|r| r.stage == stage).unwrap();
-    let mates = if stage == "select" {
-        selected.value
-    } else {
-        search.value.mates
+    let design = load.execute(&()).unwrap();
+    let bytes = load.encode(&(), &design).unwrap();
+    let back = load.decode(&(), &bytes).unwrap();
+    let names = |d: &Design| -> Vec<String> {
+        d.netlist
+            .nets()
+            .iter()
+            .map(|n| n.name().to_owned())
+            .collect()
     };
-    (mates, record.key, record.cached)
-}
-
-#[test]
-fn truncated_or_line_dropped_mate_sets_are_recomputed() {
-    for stage in ["mate-search", "select"] {
-        let scratch = Scratch::new(stage);
-        let store = scratch.store();
-        let (cold, key, cached) = figure1b_mates(store.clone(), stage);
-        assert!(!cached, "{stage}: first run must compute");
-        assert_eq!(cold.len(), 3, "figure1b has three MATEs");
-        let valid = store.load(stage, &key).unwrap().unwrap();
-        let text = String::from_utf8(valid.clone()).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        let joined = |keep: &dyn Fn(usize) -> bool| -> String {
-            lines
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| keep(i))
-                .flat_map(|(_, l)| [*l, "\n"])
-                .collect()
-        };
-        // Cut at every line boundary short of the whole artifact, then each
-        // line deleted in turn.
-        let mut damaged: Vec<String> = (0..lines.len()).map(|cut| joined(&|i| i < cut)).collect();
-        damaged.extend((0..lines.len()).map(|gone| joined(&|i| i != gone)));
-        for bytes in damaged {
-            store.save(stage, &key, bytes.as_bytes()).unwrap();
-            let (mates, again, cached) = figure1b_mates(store.clone(), stage);
-            assert!(!cached, "{stage}: a damaged artifact was served:\n{bytes}");
-            assert_eq!(again, key);
-            assert_eq!(mates, cold, "{stage}: result changed");
-            // Select is deterministic to the byte; the search header also
-            // records the recomputing run's timings.
-            let healed = store.load(stage, &key).unwrap().unwrap();
-            if stage == "select" {
-                assert_eq!(healed, valid, "{stage}: not healed");
-            }
-            let (mates, _, cached) = figure1b_mates(store.clone(), stage);
-            assert!(cached, "{stage}: the recomputed artifact must serve");
-            assert_eq!(mates, cold);
-        }
-    }
-}
-
-/// Valid artifacts of both stages on the TMR register, for mutation.
-fn tmr_artifacts() -> (Design, TraceCapture, Vec<u8>, Campaign, Vec<u8>) {
-    let (netlist, topology) = tmr_register();
-    let design = Design { netlist, topology };
-    let capture = TraceCapture {
-        source: tmr_waves(),
-        cycles: 16,
-    };
-    let trace = capture.execute(&&design).unwrap();
-    let trace_bytes = capture.encode(&&design, &trace).unwrap();
-    let campaign = Campaign {
-        source: tmr_waves(),
-        config: sampled(12, 16),
-        wires: None,
-    };
-    let result = campaign.execute(&&design).unwrap();
-    let campaign_bytes = campaign.encode(&&design, &result).unwrap();
-    (design, capture, trace_bytes, campaign, campaign_bytes)
-}
-
-proptest! {
-    /// Random bytes never decode, and never panic a decoder.
-    #[test]
-    fn random_bytes_never_decode(
-        bytes in proptest::collection::vec(any::<u8>(), 0..256),
-        valid_header in any::<bool>(),
-    ) {
-        let (design, capture, trace_bytes, campaign, campaign_bytes) = tmr_artifacts();
-        for valid in [&trace_bytes, &campaign_bytes] {
-            let mut bytes = bytes.clone();
-            if valid_header {
-                // Past the tag check: a valid header prefix, random rest.
-                let n = bytes.len().min(24);
-                bytes[..n].copy_from_slice(&valid[..n]);
-            }
-            prop_assert!(capture.decode(&&design, &bytes).is_err());
-            prop_assert!(campaign.decode(&&design, &bytes).is_err());
-        }
-    }
-
-    /// Any single changed byte of a valid artifact is refused.
-    #[test]
-    fn single_byte_mutations_never_decode(at in 0usize..100_000, xor in 1u8..=255) {
-        let (design, capture, mut trace_bytes, campaign, mut campaign_bytes) = tmr_artifacts();
-        let at_trace = at % trace_bytes.len();
-        trace_bytes[at_trace] ^= xor;
-        prop_assert!(capture.decode(&&design, &trace_bytes).is_err());
-        let at_campaign = at % campaign_bytes.len();
-        campaign_bytes[at_campaign] ^= xor;
-        prop_assert!(campaign.decode(&&design, &campaign_bytes).is_err());
-    }
+    assert_eq!(names(&back), names(&design));
+    assert_eq!(back.topology.seq_cells(), design.topology.seq_cells());
+    assert_eq!(to_yosys_json(&back.netlist), to_yosys_json(&design.netlist));
 }

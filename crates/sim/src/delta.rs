@@ -2,10 +2,11 @@
 //!
 //! The paper's premise is that most SEUs are masked quickly: almost every
 //! campaign lane diverges from the golden run inside a small fault cone and
-//! re-converges within a few cycles.  A [`WideSimulator`] campaign ignores
-//! that sparsity — it re-evaluates every combinational cell of every cycle
-//! for every lane chunk, then XOR-scans the full state to detect
-//! convergence.  [`DeltaSimulator`] exploits it.
+//! re-converges within a few cycles.  A full-settle
+//! [`WideSimulator`](crate::WideSimulator) campaign ignores that sparsity —
+//! it re-evaluates every combinational cell of every cycle for every lane
+//! chunk, then compares every observed net with golden.
+//! [`DeltaSimulator`] exploits it.
 //!
 //! Instead of absolute values, each net carries a **delta word**: lane `l`
 //! of `delta[net]` is `actual XOR golden` for that net in scenario `l`.
@@ -20,8 +21,9 @@
 //! full golden state never has to be materialized per lane.
 //!
 //! Convergence detection is free: the simulator keeps the exact set of
-//! nets with nonzero delta, so "all lanes back on the golden trajectory"
-//! is simply [`DeltaSimulator::quiescent`] — no full-state scan.
+//! nets with nonzero delta, so [`DeltaSimulator::scan_flagged`] finds the
+//! lanes that still differ from golden on the observed nets by scanning
+//! that set alone — no full-state scan.
 //!
 //! # Soundness
 //!
@@ -42,12 +44,11 @@
 use mate_netlist::prelude::*;
 
 use crate::transposed::{CycleView, TransposedTrace};
-use crate::wide::WideSimulator;
 
 /// An event-driven differential 64-lane simulator: one XOR-delta word per
 /// net, re-evaluating only the dirty fan-out frontier each cycle.
 ///
-/// Mirrors [`WideSimulator`] semantics exactly — lane `l` of
+/// Mirrors [`WideSimulator`](crate::WideSimulator) semantics exactly — lane `l` of
 /// `golden XOR delta` is cycle-for-cycle identical to a scalar run with the
 /// same flips — under the contract that primary inputs follow the golden
 /// trace (which campaign stimuli do by construction).
@@ -112,21 +113,11 @@ impl<'n> DeltaSimulator<'n> {
         self.netlist
     }
 
-    /// The SoA arena the settle sweep streams.
-    pub fn arena(&self) -> &SoaNetlist {
-        &self.soa
-    }
-
-    /// The current cycle number (the golden-trace cycle deltas are
-    /// relative to).
-    pub fn cycle(&self) -> u64 {
-        self.cycle
-    }
-
     /// Resets every lane onto the golden trajectory at `cycle` — the
-    /// differential analogue of [`WideSimulator::load_from_trace`], but
-    /// O(previously dirty nets) instead of O(nets): all deltas become zero,
-    /// which *is* the golden state.
+    /// differential analogue of
+    /// [`WideSimulator::load_from_trace`](crate::WideSimulator::load_from_trace),
+    /// but O(previously dirty nets) instead of O(nets): all deltas become
+    /// zero, which *is* the golden state.
     pub fn begin(&mut self, cycle: usize) {
         for &net in &self.nonzero {
             self.delta[net as usize] = 0;
@@ -153,25 +144,6 @@ impl<'n> DeltaSimulator<'n> {
         assert!(lane < WORD_LANES, "lane {lane} out of range");
         let q = self.netlist.cell(ff).output().index();
         self.set_delta(q, self.delta[q] ^ (1u64 << lane));
-    }
-
-    /// Nets whose delta is nonzero in at least one lane, in no particular
-    /// order.  Empty iff every lane sits exactly on the golden trace.
-    pub fn nonzero_nets(&self) -> &[u32] {
-        &self.nonzero
-    }
-
-    /// `true` iff every lane is back on the golden trajectory — the
-    /// frontier-empty convergence test that replaces the full-state XOR
-    /// scan of the full-settle engine.
-    pub fn quiescent(&self) -> bool {
-        self.nonzero.is_empty()
-    }
-
-    /// The packed delta word of a net (lane `l` = `actual XOR golden` in
-    /// scenario `l`).  Zero for any net on the golden trajectory.
-    pub fn delta(&self, net: NetId) -> u64 {
-        self.delta[net.index()]
     }
 
     /// One scan of the nonzero frontier accumulating the lane-wise OR of
@@ -468,32 +440,59 @@ fn golden_mask(bit: bool) -> u64 {
     u64::from(bit).wrapping_neg()
 }
 
-/// Asserts that `delta`'s view of the world matches a full-state wide
-/// simulator lane for lane: `golden XOR delta == wide` on every net.
-/// Test-support helper shared by the sim and campaign test suites.
-pub fn assert_matches_block(
-    delta: &DeltaSimulator<'_>,
-    wide: &mut WideSimulator<'_>,
-    golden: &TransposedTrace,
-) {
-    let cycle = delta.cycle() as usize;
-    for i in 0..delta.netlist().num_nets() {
-        let net = NetId::from_index(i);
-        let absolute = delta.delta(net) ^ golden_mask(golden.value(cycle, net));
-        assert_eq!(
-            absolute,
-            wide.value_word(net),
-            "net {net} cycle {cycle} diverged from the full-settle engine"
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::Simulator;
     use crate::trace::WaveTrace;
+    use crate::wide::WideSimulator;
     use mate_netlist::examples::{counter, tmr_register};
+
+    /// Inspection the tests need and the campaign does not.
+    impl DeltaSimulator<'_> {
+        /// The current cycle number (the golden-trace cycle deltas are
+        /// relative to).
+        fn cycle(&self) -> u64 {
+            self.cycle
+        }
+
+        /// Nets whose delta is nonzero in at least one lane, in no
+        /// particular order.  Empty iff every lane sits exactly on the
+        /// golden trace.
+        fn nonzero_nets(&self) -> &[u32] {
+            &self.nonzero
+        }
+
+        /// `true` iff every lane is back on the golden trajectory.
+        fn quiescent(&self) -> bool {
+            self.nonzero.is_empty()
+        }
+
+        /// The packed delta word of a net (lane `l` = `actual XOR golden`
+        /// in scenario `l`).  Zero for any net on the golden trajectory.
+        fn delta(&self, net: NetId) -> u64 {
+            self.delta[net.index()]
+        }
+    }
+
+    /// Asserts that `delta`'s view of the world matches a full-state wide
+    /// simulator lane for lane: `golden XOR delta == wide` on every net.
+    fn assert_matches_block(
+        delta: &DeltaSimulator<'_>,
+        wide: &mut WideSimulator<'_>,
+        golden: &TransposedTrace,
+    ) {
+        let cycle = delta.cycle() as usize;
+        for i in 0..delta.netlist().num_nets() {
+            let net = NetId::from_index(i);
+            let absolute = delta.delta(net) ^ golden_mask(golden.value(cycle, net));
+            assert_eq!(
+                absolute,
+                wide.value_word(net),
+                "net {net} cycle {cycle} diverged from the full-settle engine"
+            );
+        }
+    }
 
     /// Golden constant-input run of `counter(bits)` with `en` high.
     fn golden_counter(bits: usize, cycles: usize) -> (Netlist, Topology, WaveTrace) {

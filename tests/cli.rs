@@ -1,10 +1,15 @@
 //! The `mate-analyze` exit-code contract: 0 when every target passes the
 //! gate, 1 when the ingest lint gate rejects an external netlist, 2 on a
 //! usage error (including the removed `--proof` and `--cap` flags), and 3
-//! on a runtime error such as a missing input file.
+//! on a runtime error such as a missing input file.  Two runs that fill one
+//! artifact store at once agree, and leave a store that serves them.
 
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Command, Stdio};
+
+use fault_space_pruning::analyze::VerifyConfig;
+use fault_space_pruning::pipeline::{ArtifactStore, DesignSource, Flow, WireSetSpec};
+use mate_bench::table_search_config;
 
 /// A per-test scratch directory (artifact store and input files), removed
 /// on drop.
@@ -45,17 +50,18 @@ fn path_arg(path: &Path) -> &str {
     path.to_str().expect("UTF-8 test path")
 }
 
+const UART: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/vendor/netlists/uart_tx/uart_tx.json"
+);
+
 #[test]
 fn mate_analyze_exit_codes() {
     let scratch = Scratch::new("exit-codes");
-    let uart = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/vendor/netlists/uart_tx/uart_tx.json"
-    );
 
     // 0: the vendored UART proves every MATE and lints clean.
     let pass = [
-        "--core", "none", "--json", uart, "--deny", "bounded", "--deny", "error",
+        "--core", "none", "--json", UART, "--deny", "bounded", "--deny", "error",
     ];
     assert_eq!(exit_code(&scratch, &pass), 0, "vendored uart_tx passes");
 
@@ -71,9 +77,9 @@ fn mate_analyze_exit_codes() {
     // 2: usage errors, including the flags that used to select the
     // enumeration backend.
     for args in [
-        &["--core", "none", "--json", uart, "--proof", "sat"][..],
-        &["--core", "none", "--json", uart, "--cap", "1"],
-        &["--core", "none", "--json", uart, "--no-such-flag"],
+        &["--core", "none", "--json", UART, "--proof", "sat"][..],
+        &["--core", "none", "--json", UART, "--cap", "1"],
+        &["--core", "none", "--json", UART, "--no-such-flag"],
     ] {
         assert_eq!(exit_code(&scratch, args), 2, "{args:?} is a usage error");
     }
@@ -85,4 +91,49 @@ fn mate_analyze_exit_codes() {
         3,
         "a missing netlist is a runtime error"
     );
+}
+
+/// Two processes fill one empty store at once: both pass with the same
+/// output, and a flow over that store afterwards computes nothing.
+#[test]
+fn concurrent_runs_fill_one_store() {
+    let scratch = Scratch::new("concurrent");
+    let store = scratch.0.join("artifacts");
+    let spawn = || {
+        Command::new(env!("CARGO_BIN_EXE_mate-analyze"))
+            .args(["--core", "none", "--json", UART, "--deny", "bounded"])
+            .env("MATE_ARTIFACT_DIR", &store)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("mate-analyze starts")
+    };
+    let runs = [spawn(), spawn()].map(|run| run.wait_with_output().expect("mate-analyze ends"));
+    for run in &runs {
+        assert_eq!(
+            run.status.code(),
+            Some(0),
+            "{}",
+            String::from_utf8_lossy(&run.stderr)
+        );
+    }
+    assert!(!runs[0].stdout.is_empty());
+    assert_eq!(runs[0].stdout, runs[1].stdout);
+
+    // The stages `--json` runs, with the CLI's defaults.
+    let source = DesignSource::YosysJson {
+        path: UART.into(),
+        top: None,
+    };
+    let mut flow = Flow::new(ArtifactStore::new(&store), source).unwrap();
+    let search = flow
+        .search(WireSetSpec::AllFfs, table_search_config())
+        .unwrap();
+    let config = VerifyConfig {
+        threads: 0,
+        conflict_budget: 1_000_000,
+    };
+    flow.analyze((&search.value.mates, search.key), config)
+        .unwrap();
+    assert!(flow.summary().all_cached(), "{}", flow.summary());
 }
